@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,21 +22,10 @@ Rng::Rng(uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random bits into [0,1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+GaussianPair BoxMuller(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  return GaussianPair{r * std::cos(theta), r * std::sin(theta)};
 }
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
@@ -58,13 +45,11 @@ double Rng::NextGaussian() {
   double u1 = 0.0;
   do {
     u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  } while (u1 <= 1e-300);  // i.e. until the top 53 bits are nonzero
+  const GaussianPair pair = BoxMuller(u1, NextDouble());
+  cached_gaussian_ = pair.sin_value;
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return pair.cos_value;
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

@@ -77,6 +77,13 @@ Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
 
   auto rle = r.ReadBytes();
   if (!rle.ok()) return rle.error();
+  // The size fields are untrusted: a garbled 65535×65535 would ask for
+  // ~12.9 GB. Each 4-byte run covers at most 255 pixels, so reject what
+  // the payload cannot fill before allocating anything.
+  const size_t pixels = size_t{*w16} * size_t{*h16};
+  if (pixels > (rle->size() / 4) * 255) {
+    return ParseError("frame RLE too short for its pixel count");
+  }
 
   Image image(*w16, *h16);
   auto& out = image.data();

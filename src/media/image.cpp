@@ -15,8 +15,10 @@ int ColorDistance(Rgb a, Rgb b) {
 
 Image::Image(int width, int height, Rgb fill)
     : width_(width), height_(height),
-      data_(static_cast<size_t>(width) * static_cast<size_t>(height) * 3) {
-  Fill(fill);
+      data_(static_cast<size_t>(width) * static_cast<size_t>(height) * 3,
+            fill.r) {
+  // A gray fill (the default black, the scene background) is done.
+  if (fill.g != fill.r || fill.b != fill.r) Fill(fill);
 }
 
 void Image::Fill(Rgb c) {

@@ -1,7 +1,8 @@
 #include "media/renderer.hpp"
 
-#include <algorithm>
 #include <cmath>
+
+#include "media/sensor_noise.hpp"
 
 namespace vp::media {
 
@@ -62,12 +63,7 @@ Image RenderScene(const Pose& pose, const SceneOptions& options,
 
   // Sensor noise.
   if (options.noise_stddev > 0) {
-    auto& data = image.data();
-    for (auto& channel : data) {
-      const double noisy =
-          channel + rng.NextGaussian(0.0, options.noise_stddev);
-      channel = static_cast<uint8_t>(std::clamp(noisy, 0.0, 255.0));
-    }
+    AddSensorNoise(image.data(), options.noise_stddev, rng);
   }
   return image;
 }

@@ -2,14 +2,17 @@
 // renderer, the codec, frame stores and the synthetic camera.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "media/codec.hpp"
 #include "media/frame_store.hpp"
 #include "media/motion.hpp"
 #include "media/renderer.hpp"
+#include "media/sensor_noise.hpp"
 #include "media/video_source.hpp"
 
 namespace vp::media {
@@ -321,6 +324,230 @@ TEST(Renderer, InvisibleJointsNotDrawn) {
   EXPECT_GT(ColorDistance(at_nose, KeypointColor(kNose)), 60);
 }
 
+// ---------------------------------------------------------- Sensor noise
+
+// The per-channel loop RenderScene ran before the fused kernel, verbatim.
+// AddSensorNoise must reproduce it byte for byte.
+void ReferenceNoise(std::vector<uint8_t>& data, double noise_stddev,
+                    Rng& rng) {
+  for (auto& channel : data) {
+    const double noisy = channel + rng.NextGaussian(0.0, noise_stddev);
+    channel = static_cast<uint8_t>(std::clamp(noisy, 0.0, 255.0));
+  }
+}
+
+// The same loop over a scripted NextU64 stream: Rng::NextGaussian's
+// pair logic (rejection, cached sin) spelled out, verbatim expressions.
+std::vector<uint8_t> ScriptedReference(std::vector<uint8_t> data,
+                                       double noise_stddev,
+                                       const std::vector<uint64_t>& draws) {
+  size_t next = 0;
+  const auto next_double = [&] {
+    return static_cast<double>(draws.at(next++) >> 11) * 0x1.0p-53;
+  };
+  bool has_cached = false;
+  double cached = 0.0;
+  for (auto& channel : data) {
+    double z = cached;
+    if (has_cached) {
+      has_cached = false;
+    } else {
+      double u1 = 0.0;
+      do {
+        u1 = next_double();
+      } while (u1 <= 1e-300);
+      const double u2 = next_double();
+      const double r = std::sqrt(-2.0 * std::log(u1));
+      const double theta = 2.0 * M_PI * u2;
+      cached = r * std::sin(theta);
+      has_cached = true;
+      z = r * std::cos(theta);
+    }
+    const double noisy = channel + (0.0 + noise_stddev * z);
+    channel = static_cast<uint8_t>(std::clamp(noisy, 0.0, 255.0));
+  }
+  return data;
+}
+
+// Runs the kernel on `data` over the scripted stream; returns the
+// number of exact-path pairs and checks every draw was consumed.
+size_t ScriptedNoise(std::vector<uint8_t>& data, double noise_stddev,
+                     const std::vector<uint64_t>& draws) {
+  size_t next = 0;
+  const size_t exact = AddSensorNoise(data, noise_stddev,
+                                      [&] { return draws.at(next++); });
+  EXPECT_EQ(next, draws.size());
+  return exact;
+}
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SensorNoise, MatchesPerChannelLoopAcrossSeedsSizesAndColours) {
+  const std::vector<std::pair<int, int>> sizes = {{7, 5}, {33, 1}, {160, 120}};
+  size_t pairs = 0;
+  size_t exact_pairs = 0;
+  for (const uint64_t seed : {1ULL, 2ULL, 0xC0FFEEULL}) {
+    for (const auto& [w, h] : sizes) {
+      for (const double sd : {0.0, 0.5, 3.0, 25.0, 200.0}) {
+        for (const uint8_t base : {0, 24, 128, 250, 255}) {
+          const Image image(w, h, Rgb{base, base, base});
+          std::vector<uint8_t> expected = image.data();
+          std::vector<uint8_t> actual = image.data();
+          Rng reference_rng(seed);
+          Rng rng(seed);
+          ReferenceNoise(expected, sd, reference_rng);
+          const size_t exact = AddSensorNoise(actual, sd, rng);
+          ASSERT_EQ(actual, expected)
+              << "seed " << seed << " " << w << "x" << h << " sd " << sd
+              << " base " << int{base};
+          if (sd > 0) {
+            pairs += (actual.size() + 1) / 2;
+            exact_pairs += exact;
+          }
+        }
+      }
+    }
+  }
+  // The tables carry almost every pair; the exact path is the rare
+  // band-edge fallback (plus the odd-length tails).
+  EXPECT_LT(static_cast<double>(exact_pairs),
+            0.01 * static_cast<double>(pairs));
+}
+
+TEST(SensorNoise, MatchesPerChannelLoopOnARenderedScene) {
+  // Bones, joint colours and props: the byte values a real frame holds.
+  SceneOptions scene;
+  scene.width = 320;
+  scene.height = 240;
+  scene.noise_stddev = 0;
+  scene.props.push_back(Prop{"lamp", 0.05, 0.05, 0.1, 0.2, Rgb{10, 90, 200}});
+  const Image clean = RenderScene(Pose::Standing(), scene, 1);
+  for (const double sd : {0.5, 3.0, 25.0}) {
+    for (const uint64_t seed : {3ULL, 4ULL}) {
+      std::vector<uint8_t> expected = clean.data();
+      std::vector<uint8_t> actual = clean.data();
+      Rng reference_rng(seed);
+      Rng rng(seed);
+      ReferenceNoise(expected, sd, reference_rng);
+      AddSensorNoise(actual, sd, rng);
+      ASSERT_EQ(actual, expected) << "sd " << sd << " seed " << seed;
+    }
+  }
+}
+
+TEST(SensorNoise, InjectedDrawsRejectZeroU1) {
+  // Draws whose top 53 bits are zero make u1 = 0; NextGaussian skips
+  // them, and so must the kernel, for pairs and for the odd tail.
+  const uint64_t kZeroU1 = 0x7FF;  // low 11 bits only
+  const std::vector<uint64_t> draws = {
+      0,       kZeroU1, 0x9E3779B97F4A7C15ULL, 0x0123456789ABCDEFULL,
+      kZeroU1, 0xDEADBEEFCAFEF00DULL,          0x8000000000000000ULL,
+      0,       0xF0F0F0F0F0F0F0F0ULL,          0x5555555555555555ULL};
+  const std::vector<uint8_t> base = {24, 128, 250, 0, 255};
+  std::vector<uint8_t> actual = base;
+  ScriptedNoise(actual, 3.0, draws);
+  EXPECT_EQ(actual, ScriptedReference(base, 3.0, draws));
+}
+
+TEST(SensorNoise, InjectedDrawsAtTheBandEdgeTakeTheExactPath) {
+  using noise_detail::FastPair;
+  using noise_detail::GetTables;
+  const uint64_t a = 0x9E3779B97F4A7C15ULL;
+  // b = 0 makes θ = 0: the exact sin half is exactly 0, so y = c lies on
+  // an integer, where the table's sin (cos 3π/2, about -1.8e-16) would
+  // truncate c = 1 to 0.
+  {
+    uint8_t px[2] = {100, 1};
+    EXPECT_FALSE(FastPair(GetTables(), a, 0, 3.0, px));
+    EXPECT_EQ(px[0], 100);
+    EXPECT_EQ(px[1], 1);
+    const std::vector<uint8_t> base = {100, 1};
+    std::vector<uint8_t> actual = base;
+    EXPECT_EQ(ScriptedNoise(actual, 3.0, {a, 0}), 1u);
+    EXPECT_EQ(actual, ScriptedReference(base, 3.0, {a, 0}));
+  }
+  // A stddev that puts c + sd·r (θ = 0) within rounding of c + 2.
+  {
+    const double r = std::sqrt(-2.0 * std::log(Rng::UnitFromBits(a)));
+    const double sd = 2.0 / r;
+    uint8_t px[2] = {100, 7};
+    EXPECT_FALSE(FastPair(GetTables(), a, 0, sd, px));
+    const std::vector<uint8_t> base = {100, 7};
+    std::vector<uint8_t> actual = base;
+    EXPECT_EQ(ScriptedNoise(actual, sd, {a, 0}), 1u);
+    EXPECT_EQ(actual, ScriptedReference(base, sd, {a, 0}));
+  }
+  // u1 = 1 - 2^-53 makes r about 1.5e-8, below the certified range.
+  {
+    uint8_t px[2] = {128, 128};
+    EXPECT_FALSE(FastPair(GetTables(), ~uint64_t{0}, a, 3.0, px));
+    const std::vector<uint8_t> base = {128, 128};
+    std::vector<uint8_t> actual = base;
+    EXPECT_EQ(ScriptedNoise(actual, 3.0, {~uint64_t{0}, a}), 1u);
+    EXPECT_EQ(actual, ScriptedReference(base, 3.0, {~uint64_t{0}, a}));
+  }
+  // An ordinary pair goes through the tables.
+  {
+    const std::vector<uint64_t> draws = {a, 0x0123456789ABCDEFULL};
+    const std::vector<uint8_t> base = {24, 24};
+    std::vector<uint8_t> actual = base;
+    EXPECT_EQ(ScriptedNoise(actual, 3.0, draws), 0u);
+    EXPECT_EQ(actual, ScriptedReference(base, 3.0, draws));
+  }
+}
+
+TEST(SensorNoise, NonPositiveAndHugeStddevStayExact) {
+  for (const double sd : {-3.0, 0.0, 2e6}) {
+    const Image image(9, 3, Rgb{24, 128, 250});
+    std::vector<uint8_t> expected = image.data();
+    std::vector<uint8_t> actual = image.data();
+    Rng reference_rng(5);
+    Rng rng(5);
+    ReferenceNoise(expected, sd, reference_rng);
+    EXPECT_EQ(AddSensorNoise(actual, sd, rng), (actual.size() + 1) / 2);
+    EXPECT_EQ(actual, expected) << "sd " << sd;
+  }
+}
+
+TEST(SensorNoise, PixelsArePinned) {
+  // FNV-1a of the pixels, computed with the per-channel loop before the
+  // fused kernel replaced it. A change here changes every frame.
+  SceneOptions scene;
+  EXPECT_EQ(Fnv1a(RenderScene(Pose::Standing(), scene, 1).data()),
+            0xdd3540b903a311edULL);
+  EXPECT_EQ(Fnv1a(RenderScene(Pose::Standing(), scene, 7).data()),
+            0x1859b48a18ab355cULL);
+  EXPECT_EQ(Fnv1a(RenderScene(Pose::Standing(), scene, 42).data()),
+            0xf42cda9e221236a5ULL);
+  SceneOptions big;
+  big.width = 320;
+  big.height = 240;
+  big.props.push_back(Prop{"lamp", 0.05, 0.05, 0.1, 0.2, Rgb{10, 90, 200}});
+  EXPECT_EQ(Fnv1a(RenderScene(Pose::Standing(), big, 3).data()),
+            0x92e56937321b54c2ULL);
+  SceneOptions odd;
+  odd.width = 7;
+  odd.height = 5;
+  odd.noise_stddev = 25;
+  odd.background = Rgb{250, 0, 128};
+  EXPECT_EQ(Fnv1a(RenderScene(Pose::Standing(), odd, 9).data()),
+            0xa1c9513679ed52efULL);
+  SyntheticVideoSource source(DefaultWorkoutScript(), 20.0);
+  EXPECT_EQ(Fnv1a(source.CaptureFrame(0).image.data()),
+            0x5e6c99a2c420baabULL);
+  EXPECT_EQ(Fnv1a(source.CaptureFrame(80).image.data()),
+            0xcaa6c308e93aa905ULL);
+  EXPECT_EQ(Fnv1a(source.CaptureFrame(599).image.data()),
+            0xd0877cc46762b067ULL);
+}
+
 // ----------------------------------------------------------------- Codec
 
 TEST(Codec, RoundTripWithinQuantizationBound) {
@@ -366,6 +593,39 @@ TEST(Codec, RejectsGarbage) {
   wire[0] ^= 0xFF;
   wire.resize(wire.size() / 2);
   EXPECT_FALSE(DecodeFrame(wire).ok());
+}
+
+TEST(Codec, RejectsSizesThePayloadCannotFill) {
+  // Header fields as EncodeFrame writes them, then an RLE payload of
+  // `runs` full 255-pixel runs.
+  const auto wire = [](uint16_t w, uint16_t h, int runs) {
+    ByteWriter out;
+    out.WriteU32(0x56504631);
+    out.WriteU64(1);
+    out.WriteI64(0);
+    out.WriteString("null");
+    out.WriteU16(w);
+    out.WriteU16(h);
+    ByteWriter rle;
+    for (int i = 0; i < runs; ++i) {
+      rle.WriteU8(255);
+      rle.WriteU8(1);
+      rle.WriteU8(1);
+      rle.WriteU8(1);
+    }
+    out.WriteBytes(rle.data());
+    return out.Take();
+  };
+  // A garbled size must fail as a Status, not allocate 12.9 GB.
+  const auto huge = DecodeFrame(wire(65535, 65535, 2));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.error().code(), StatusCode::kParseError);
+  EXPECT_FALSE(DecodeFrame(wire(511, 1, 2)).ok());
+  // Exactly what the runs can fill still decodes.
+  const auto full = DecodeFrame(wire(255, 2, 2));
+  ASSERT_TRUE(full.ok()) << full.error().ToString();
+  EXPECT_EQ(full->image.width(), 255);
+  EXPECT_EQ(full->image.At(254, 1), (Rgb{24, 24, 24}));
 }
 
 TEST(Codec, CostModelsScaleWithSize) {
