@@ -2,8 +2,8 @@
 // (cold / warm / hot starts), resident memory per hibernated pipeline,
 // and a 100-pipeline burst wakeup under admission control.
 //
-//   cold  — parse + resolve + compile + Load into a fresh context
-//           (program cache bypassed);
+//   cold  — parse + fold + compile + link + Load into a fresh context
+//           (program cache emptied before every Load);
 //   warm  — Load served by the content-hash program cache: the
 //           pre-compiled bytecode links into a fresh VM, no parser;
 //   hot   — a pre-Loaded context drawn from the lifecycle warm pool:
@@ -182,31 +182,28 @@ Ladder MeasureLadder(int iterations) {
   Ladder ladder;
   script::ProgramCache::Global().Clear();
 
-  // Cold: cache bypassed, every Load pays the full pipeline.
+  // Cold: the cache is emptied before every Load, so each one pays
+  // the full pipeline (parse, fold, compile, link).
   {
-    script::ContextOptions options;
-    options.engine = script::ScriptEngine::kVm;
-    options.share_programs = false;
     {  // untimed warmup (allocator, page faults)
-      script::Context context(options);
+      script::Context context;
       if (!context.Load(kModuleSource).ok()) std::abort();
     }
     ladder.cold_us = BestBatchUs(iterations, [&] {
-      script::Context context(options);
+      script::ProgramCache::Global().Clear();
+      script::Context context;
       if (!context.Load(kModuleSource).ok()) std::abort();
     });
   }
 
   // Warm: one Load populates the cache, the timed ones link bytecode.
   {
-    script::ContextOptions options;
-    options.engine = script::ScriptEngine::kVm;
     {
-      script::Context seed_context(options);
+      script::Context seed_context;
       if (!seed_context.Load(kModuleSource).ok()) std::abort();
     }
     ladder.warm_us = BestBatchUs(iterations, [&] {
-      script::Context context(options);
+      script::Context context;
       if (!context.Load(kModuleSource).ok()) std::abort();
     });
   }
@@ -386,7 +383,7 @@ int main() {
       ladder.warm_us > 0 ? ladder.cold_us / ladder.warm_us : 0;
   const double hot_speedup =
       ladder.hot_us > 0 ? ladder.cold_us / ladder.hot_us : 0;
-  std::printf("  cold  %8.1f us  (parse + resolve + compile + load)\n",
+  std::printf("  cold  %8.1f us  (parse + fold + compile + load)\n",
               ladder.cold_us);
   std::printf("  warm  %8.1f us  (program-cache link)     %6.1fx\n",
               ladder.warm_us, warm_speedup);

@@ -2,19 +2,19 @@
 // per-event overhead every module pays.
 //
 // Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// runs a quick manual A/B of the resolver (resolved vs. Environment
-// fallback), writing BENCH_script.json for CI to archive.
+// times VM event dispatch and Context::Load (warm: program cache hit;
+// cold: cache cleared first), writing BENCH_script.json for CI to
+// archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <vector>
 
 #include "harness.hpp"
 #include "script/context.hpp"
 #include "script/convert.hpp"
 #include "script/parser.hpp"
+#include "script/program_cache.hpp"
 
 using namespace vp;
 
@@ -59,23 +59,6 @@ void BM_EventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatch);
 
-void BM_EventDispatchEngine(benchmark::State& state) {
-  script::ContextOptions options;
-  options.engine = state.range(0) == 0 ? script::ScriptEngine::kVm
-                                       : script::ScriptEngine::kInterp;
-  script::Context context(options);
-  (void)context.Load(kModuleSource);
-  auto message = script::Value::MakeObject();
-  message.AsObject()->Set("value", script::Value(1.5));
-  for (auto _ : state) {
-    auto result = context.Call("event_received", {message});
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_EventDispatchEngine)
-    ->Arg(0)   // bytecode VM
-    ->Arg(1);  // tree-walking interpreter (resolver path)
-
 void BM_Fibonacci(benchmark::State& state) {
   script::Context context;
   (void)context.Load(
@@ -113,50 +96,38 @@ double NowUs() {
       .count();
 }
 
-/// Per-event dispatch cost (µs) for several engine configurations,
-/// measured together: each round times every configuration back to
-/// back before the next round starts, and each configuration keeps its
-/// best round. Interleaving keeps a host-level noise burst from
-/// landing on one configuration's entire measurement window, which
-/// would skew the speedup ratios; best-of is unbiased because
-/// scheduler noise is strictly additive.
-std::vector<double> MeasureDispatchUs(
-    const std::vector<script::ContextOptions>& configs, int rounds,
-    int calls) {
-  std::vector<std::unique_ptr<script::Context>> contexts;
+/// Per-event dispatch cost (µs), best round of `rounds` (scheduler
+/// noise is strictly additive, so best-of is unbiased).
+double MeasureDispatchUs(int rounds, int calls) {
+  script::Context context;
+  if (!context.Load(kModuleSource).ok()) std::abort();
   auto message = script::Value::MakeObject();
   message.AsObject()->Set("value", script::Value(1.5));
-  for (const auto& options : configs) {
-    auto context = std::make_unique<script::Context>(options);
-    if (!context->Load(kModuleSource).ok()) std::abort();
-    for (int i = 0; i < 2000; ++i) {  // warm caches / pools
-      (void)context->Call("event_received", {message});
-    }
-    contexts.push_back(std::move(context));
+  for (int i = 0; i < 2000; ++i) {  // warm caches / pools
+    (void)context.Call("event_received", {message});
   }
-  std::vector<double> best(configs.size(), 1e18);
+  double best = 1e18;
   for (int r = 0; r < rounds; ++r) {
-    for (size_t c = 0; c < contexts.size(); ++c) {
-      const double start = NowUs();
-      for (int i = 0; i < calls; ++i) {
-        auto result = contexts[c]->Call("event_received", {message});
-        benchmark::DoNotOptimize(result);
-      }
-      best[c] = std::min(best[c], (NowUs() - start) / calls);
+    const double start = NowUs();
+    for (int i = 0; i < calls; ++i) {
+      auto result = context.Call("event_received", {message});
+      benchmark::DoNotOptimize(result);
     }
+    best = std::min(best, (NowUs() - start) / calls);
   }
   return best;
 }
 
-/// Context::Load cost (µs): parse + resolve + top-level execution.
-double MeasureLoadUs(bool resolve, int rounds, int loads) {
+/// Context construction + Load cost (µs), best round. Warm loads link
+/// the cached program; cold loads clear the program cache first, so
+/// they also parse, fold and compile.
+double MeasureLoadUs(bool cold, int rounds, int loads) {
   double best = 1e18;
   for (int r = 0; r < rounds; ++r) {
     const double start = NowUs();
     for (int i = 0; i < loads; ++i) {
-      script::ContextOptions options;
-      options.resolve = resolve;
-      script::Context context(options);
+      if (cold) script::ProgramCache::Global().Clear();
+      script::Context context;
       benchmark::DoNotOptimize(context.Load(kModuleSource));
     }
     best = std::min(best, (NowUs() - start) / loads);
@@ -168,41 +139,19 @@ int SmokeMain() {
   // Best-of-9: scheduler noise is strictly additive, so more rounds
   // tighten the minimum without biasing it.
   const int rounds = 9;
-  // Three engine configurations: the bytecode VM, the tree-walking
-  // interpreter on its resolver path (the PR 4 baseline the VM is
-  // measured against), and the unresolved Environment-chain fallback.
-  script::ContextOptions vm;
-  vm.engine = script::ScriptEngine::kVm;
-  script::ContextOptions interp;
-  interp.engine = script::ScriptEngine::kInterp;
-  script::ContextOptions fallback;
-  fallback.resolve = false;
-  const std::vector<double> dispatch =
-      MeasureDispatchUs({vm, interp, fallback}, rounds, 5000);
-  const double vm_us = dispatch[0];
-  const double resolved_us = dispatch[1];
-  const double fallback_us = dispatch[2];
-  const double load_resolved_us = MeasureLoadUs(true, rounds, 300);
-  const double load_fallback_us = MeasureLoadUs(false, rounds, 300);
+  const double vm_us = MeasureDispatchUs(rounds, 5000);
+  const double load_warm_us = MeasureLoadUs(/*cold=*/false, rounds, 300);
+  const double load_cold_us = MeasureLoadUs(/*cold=*/true, rounds, 300);
 
   json::Value doc = json::Value::MakeObject();
   doc["bench"] = json::Value("micro_script");
   doc["dispatch_us_vm"] = json::Value(vm_us);
-  doc["dispatch_us_resolved"] = json::Value(resolved_us);
-  doc["dispatch_us_fallback"] = json::Value(fallback_us);
-  doc["dispatch_speedup"] = json::Value(fallback_us / resolved_us);
-  doc["vm_speedup_vs_resolved"] = json::Value(resolved_us / vm_us);
-  doc["vm_speedup_vs_fallback"] = json::Value(fallback_us / vm_us);
-  doc["load_us_resolved"] = json::Value(load_resolved_us);
-  doc["load_us_fallback"] = json::Value(load_fallback_us);
-  doc["load_overhead"] = json::Value(load_resolved_us / load_fallback_us);
+  // Key kept from when a second engine was measured: the warm load.
+  doc["load_us_resolved"] = json::Value(load_warm_us);
+  doc["load_us_cold"] = json::Value(load_cold_us);
   bench::WriteBenchJson("script", doc);
-  std::printf(
-      "dispatch: vm %.2f us, resolved %.2f us, fallback %.2f us "
-      "(vm %.2fx vs resolved, %.2fx vs fallback); "
-      "load: resolved %.1f us, fallback %.1f us\n",
-      vm_us, resolved_us, fallback_us, resolved_us / vm_us,
-      fallback_us / vm_us, load_resolved_us, load_fallback_us);
+  std::printf("dispatch: vm %.2f us; load: warm %.1f us, cold %.1f us\n",
+              vm_us, load_warm_us, load_cold_us);
   return 0;
 }
 

@@ -15,9 +15,9 @@ struct LocalVar {
   int depth;
   bool is_const;
   /// A slot is reserved at block entry but stays invisible to direct
-  /// references until its declaration statement compiles — mirrors the
-  /// interpreter, where `var` defines at execution and earlier reads
-  /// in the block resolve outward.
+  /// references until its declaration statement compiles: `var`
+  /// defines at execution, and earlier reads in the block resolve
+  /// outward.
   bool visible;
 };
 
@@ -243,6 +243,15 @@ class FnCompiler {
   // ---------------------------------------------------------- top level
 
   void CompileTopLevel(const std::vector<StmtPtr>& stmts) {
+    // Allocate global slots in definition order (hoisted functions
+    // first, then top-level vars in statement order): state snapshots
+    // list module globals in slot order.
+    for (const StmtPtr& stmt : stmts) {
+      if (stmt->kind == StmtKind::kFunction) GlobalOperand(stmt->name);
+    }
+    for (const StmtPtr& stmt : stmts) {
+      if (stmt->kind == StmtKind::kVarDecl) GlobalOperand(stmt->name);
+    }
     AddLocal("(script)", false, false);  // slot 0: the script closure
     // Function declarations hoist to globals before any statement runs.
     for (const StmtPtr& stmt : stmts) {
@@ -250,7 +259,7 @@ class FnCompiler {
         CompileFunctionBody(stmt->name, stmt->params, stmt->body, stmt->line,
                             /*bind_self=*/false);
         EmitOp(Op::kDefineGlobal, stmt->line);
-        EmitU16(vm_.GlobalSlot(stmt->name));
+        EmitU16(GlobalOperand(stmt->name));
       }
     }
     for (const StmtPtr& stmt : stmts) {
@@ -354,9 +363,8 @@ class FnCompiler {
 
   /// Name constant for property access: interned so the VM dispatches
   /// array methods and object lookups on integer ids.
-  uint16_t NameConst(const std::string& name, uint32_t name_id) {
-    if (name_id == kNoNameId) name_id = Interner::Global().Intern(name);
-    return StringConst(name, name_id);
+  uint16_t NameConst(const std::string& name) {
+    return StringConst(name, Interner::Global().Intern(name));
   }
 
   void EmitRuntimeError(const std::string& message, int line) {
@@ -364,10 +372,21 @@ class FnCompiler {
     EmitU16(StringConst(message));
   }
 
-  void Fail(const std::string& what) {
-    if (error_->ok()) {
-      *error_ = Status(StatusCode::kInternal, "script compile: " + what);
-    }
+  /// Record the first compile error. Size limits (u16/u8 operands,
+  /// jump offsets) are kResourceExhausted: the source is valid but too
+  /// big for the bytecode format, and Context::Load reports it as is.
+  void Fail(const std::string& what,
+            StatusCode code = StatusCode::kResourceExhausted) {
+    if (error_->ok()) *error_ = Status(code, "script compile: " + what);
+  }
+
+  /// Global slot operand for `name`; past the slot limit the compile
+  /// fails with the VM's "too many globals".
+  uint16_t GlobalOperand(const std::string& name) {
+    auto slot = vm_.GlobalSlot(name);
+    if (slot.ok()) return *slot;
+    Fail(slot.error().message());
+    return 0;
   }
 
   // ------------------------------------------------------------- scopes
@@ -477,7 +496,7 @@ class FnCompiler {
       return;
     }
     EmitOp(Op::kGetGlobal, line);
-    EmitU16(vm_.GlobalSlot(name));
+    EmitU16(GlobalOperand(name));
   }
 
   /// Store-with-peek: value stays on the stack (assignment result).
@@ -504,7 +523,7 @@ class FnCompiler {
     }
     // Globals carry const/undeclared state only at runtime.
     EmitOp(Op::kSetGlobal, line);
-    EmitU16(vm_.GlobalSlot(name));
+    EmitU16(GlobalOperand(name));
   }
 
   // ------------------------------------------------------------- blocks
@@ -512,8 +531,7 @@ class FnCompiler {
   bool AtGlobalScope() const { return is_script_ && scope_depth_ == 0; }
 
   /// Reserve one slot per var/function declared directly in `stmts`
-  /// (deduplicated: redeclaration overwrites in place, like
-  /// Environment::Define).
+  /// (deduplicated: redeclaration overwrites in place).
   void DeclareBlockLocals(const std::vector<StmtPtr>& stmts) {
     int fresh = 0;
     for (const StmtPtr& stmt : stmts) {
@@ -614,7 +632,7 @@ class FnCompiler {
                                  handler_depth_, false, 0});
         CompileScopedBlock(stmt.body, stmt.line);
         // continue lands on the condition (evaluated in the outer
-        // scope, exactly like the interpreter).
+        // scope).
         const size_t cond_pos = Here();
         for (const size_t j : loops_.back().continue_jumps) {
           PatchJumpTo(j, cond_pos);
@@ -679,7 +697,7 @@ class FnCompiler {
         CompileSwitch(stmt);
         return;
     }
-    Fail("unhandled statement");
+    Fail("unhandled statement", StatusCode::kInternal);
   }
 
   void CompileVarDecl(const Stmt& stmt) {
@@ -691,12 +709,12 @@ class FnCompiler {
     if (AtGlobalScope()) {
       EmitOp(stmt.is_const ? Op::kDefineGlobalConst : Op::kDefineGlobal,
              stmt.line);
-      EmitU16(vm_.GlobalSlot(stmt.name));
+      EmitU16(GlobalOperand(stmt.name));
       return;
     }
     const int slot = FindLocalAtCurrentDepth(stmt.name);
     if (slot == -1) {
-      Fail("declaration without a reserved slot");
+      Fail("declaration without a reserved slot", StatusCode::kInternal);
       return;
     }
     EmitOp(Op::kSetLocal, stmt.line);
@@ -796,9 +814,8 @@ class FnCompiler {
     CompileExpr(*stmt.expr);  // discriminant, evaluated in outer scope
     BeginScope();
     const uint16_t disc_slot = AddLocal("(switch)", false, false);
-    // One shared scope across all cases (slot-mode interpreter
-    // semantics): every case-declared var gets a slot, reset to
-    // undefined on switch entry.
+    // One shared scope across all cases: every case-declared var gets
+    // a slot, reset to undefined on switch entry.
     for (const SwitchCase& c : stmt.cases) DeclareBlockLocals(c.body);
     loops_.push_back(LoopCtx{false, outer_depth, outer_depth, handler_depth_,
                              false, 0});
@@ -893,7 +910,7 @@ class FnCompiler {
         }
         for (const ObjectProperty& p : e.properties) {
           EmitOp(Op::kConst, e.line);
-          EmitU16(NameConst(p.key, p.key_id));
+          EmitU16(NameConst(p.key));
           CompileExpr(*p.value);
         }
         EmitOp(Op::kObject, e.line);
@@ -914,7 +931,7 @@ class FnCompiler {
           case OpCode::kPos: EmitOp(Op::kToNumber, e.line); return;
           case OpCode::kNot: EmitOp(Op::kNot, e.line); return;
           case OpCode::kTypeof: EmitOp(Op::kTypeof, e.line); return;
-          default: Fail("unknown unary operator"); return;
+          default: Fail("unknown unary operator", StatusCode::kInternal); return;
         }
       }
       case ExprKind::kUpdate:
@@ -959,7 +976,7 @@ class FnCompiler {
       case ExprKind::kMember:
         CompileExpr(*e.a);
         EmitOp(Op::kGetProp, e.line);
-        EmitU16(NameConst(e.string_value, e.name_id));
+        EmitU16(NameConst(e.string_value));
         return;
       case ExprKind::kIndex:
         CompileExpr(*e.a);
@@ -971,7 +988,7 @@ class FnCompiler {
                             /*bind_self=*/true);
         return;
     }
-    Fail("unhandled expression");
+    Fail("unhandled expression", StatusCode::kInternal);
   }
 
   void EmitBinary(OpCode code, int line) {
@@ -989,13 +1006,13 @@ class FnCompiler {
       case OpCode::kLe: EmitOp(Op::kLe, line); return;
       case OpCode::kGt: EmitOp(Op::kGt, line); return;
       case OpCode::kGe: EmitOp(Op::kGe, line); return;
-      default: Fail("unknown binary operator"); return;
+      default: Fail("unknown binary operator", StatusCode::kInternal); return;
     }
   }
 
-  /// Compound assignment and ++/-- mirror the interpreter's
-  /// double evaluation of the target: read via the full expression,
-  /// then write via the assignment path (which re-evaluates the base).
+  /// Compound assignment and ++/-- evaluate the target twice: read
+  /// via the full expression, then write via the assignment path
+  /// (which re-evaluates the base).
   void CompileAssign(const Expr& e) {
     const Expr& target = *e.a;
     CompileExpr(*e.b);  // rhs first — its side effects predate the read
@@ -1023,7 +1040,7 @@ class FnCompiler {
         CompileExpr(*target.a);
         EmitOp(Op::kSwap, line);  // [obj, value]
         EmitOp(Op::kSetProp, line);
-        EmitU16(NameConst(target.string_value, target.name_id));
+        EmitU16(NameConst(target.string_value));
         return;
       case ExprKind::kIndex:
         CompileExpr(*target.a);
@@ -1066,7 +1083,7 @@ class FnCompiler {
       CompileExpr(*callee.a);
       for (const ExprPtr& arg : e.elements) CompileExpr(*arg);
       EmitOp(Op::kInvoke, e.line);
-      EmitU16(NameConst(callee.string_value, callee.name_id));
+      EmitU16(NameConst(callee.string_value));
       EmitByte(static_cast<uint8_t>(e.elements.size()), e.line);
       return;
     }
@@ -1086,7 +1103,7 @@ class FnCompiler {
     // Slot 0 holds the callee. Named function expressions bind it so
     // the function can recurse by name; declarations resolve their own
     // name through the enclosing scope instead (a reassigned binding
-    // must be observed, as in the interpreter).
+    // must be observed).
     child.AddLocal(bind_self && !name.empty() ? name : "(fn)", false, true);
     for (const std::string& p : params) child.AddLocal(p, false, true);
     // The body shares the parameter scope: `var a` with a parameter
@@ -1119,15 +1136,6 @@ class FnCompiler {
 
 Result<const FunctionProto*> CompileProgram(const Program& program, Vm& vm) {
   Status error = Status::Ok();
-  // Allocate global slots in the interpreter's definition order
-  // (hoisted functions first, then top-level vars in statement order)
-  // so state snapshots list module globals identically across engines.
-  for (const StmtPtr& stmt : program.statements) {
-    if (stmt->kind == StmtKind::kFunction) vm.GlobalSlot(stmt->name);
-  }
-  for (const StmtPtr& stmt : program.statements) {
-    if (stmt->kind == StmtKind::kVarDecl) vm.GlobalSlot(stmt->name);
-  }
   FnCompiler script(vm, nullptr, /*is_script=*/true, "(script)", 0, &error);
   script.CompileTopLevel(program.statements);
   if (!error.ok()) return error.error();

@@ -5,25 +5,24 @@
 // lexical upvalue resolution), nested functions compile inline into
 // child FunctionProtos adopted by the Vm.
 //
-// The tree the compiler consumes is the interpreter's: to keep the two
-// engines bit-identical (ResolverEquivalence / ErrorsMatchAcrossModes
-// extend across engines) the compiler re-derives scope layout itself
-// rather than reusing the resolver's slot frames — the resolver only
-// slots capture-free functions, the VM slots everything.
-//
-// Semantics mirrored from interp.cpp, notably:
+// The compiler derives scope layout itself from the folded AST (every
+// local lives in a stack slot; captured ones are closed into upvalues
+// when their scope exits). Semantics worth knowing:
 //  * `var` is block-scoped; a declaration executes at its statement
 //    (reads earlier in the block resolve outward), so block entry
 //    reserves slots that stay invisible until the declaration runs;
 //  * function declarations hoist per block;
 //  * compound assignment / ++ / -- evaluate their target expression
-//    twice (read then write), exactly as the tree-walker does;
+//    twice (read then write);
 //  * `const` violations are runtime errors (dead branches may contain
 //    them) — the compiler emits kRuntimeError instead of failing.
 //
-// A compile error (pathological nesting blowing a u16 operand) is
-// returned as a Status; the Context then falls back to the
-// tree-walking interpreter, which has no such limits.
+// Size limits of the bytecode format are compile errors, and
+// Context::Load returns them as load errors (kResourceExhausted,
+// message "script compile: <what>"): "too many constants", "too many
+// locals", "too many upvalues", "too many globals", "too many call
+// arguments", "array literal too large", "object literal too large",
+// "jump too long", "loop body too long".
 #pragma once
 
 #include "common/error.hpp"

@@ -3,57 +3,37 @@
 // A Context is the unit of isolation: one per module, mirroring the
 // paper's "separate Duktape contexts … spawned inside a single JVM to
 // provide isolation without compromising performance" (§3). Each
-// context has its own global scope, stdlib instance and step budget;
-// host functions (the Table-1 API) are registered by the module
-// runtime before the module source is loaded.
+// context has its own bytecode VM (heap, globals, step budget) and
+// stdlib instance; host functions (the Table-1 API) are registered by
+// the module runtime, before or after the module source is loaded.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "json/value.hpp"
-#include "script/interp.hpp"
-#include "script/parser.hpp"
 #include "script/value.hpp"
 #include "script/vm.hpp"
 
 namespace vp::script {
 
-/// Which engine executes module code.
-enum class ScriptEngine {
-  /// Read VP_SCRIPT_ENGINE from the environment ("vm" / "interp");
-  /// defaults to the bytecode VM when unset or unrecognized.
-  kAuto,
-  /// Bytecode VM with NaN-boxed values and a tracing GC (vm.hpp).
-  kVm,
-  /// Tree-walking interpreter (interp.hpp). Also the automatic
-  /// fallback when resolution is disabled or compilation fails.
-  kInterp,
-};
+class CachedProgram;
 
 struct ContextOptions {
   InterpreterLimits limits;
   /// Seed for this context's Math.random.
   uint64_t random_seed = 1234;
-  /// Run the resolver pass (resolver.hpp) on loaded programs. Off
-  /// switches the interpreter to its dynamic Environment-only fallback
-  /// — same semantics, slower; kept for A/B tests and benchmarks.
-  /// The bytecode VM requires resolved programs, so `resolve = false`
-  /// also forces the interpreter engine.
-  bool resolve = true;
-  ScriptEngine engine = ScriptEngine::kAuto;
-  /// Serve Load() from the process-wide compiled-program cache
-  /// (program_cache.hpp) on the VM engine: identical source links
-  /// pre-compiled bytecode instead of re-parsing. Semantically
-  /// transparent; off only for cache-bypass benchmarking.
-  bool share_programs = true;
 };
 
 class Context {
  public:
   explicit Context(ContextOptions options = {});
-  ~Context();
+  // The VM points at interp_: a Context stays where it was built.
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   /// Expose a host function as a global, e.g. call_service.
   void RegisterHostFunction(const std::string& name, HostFunction fn);
@@ -61,8 +41,11 @@ class Context {
   /// Define an arbitrary global value (configuration constants…).
   void DefineGlobal(const std::string& name, Value v);
 
-  /// Parse + execute module source. Top-level code runs immediately;
-  /// function declarations become callable afterwards.
+  /// Compile (through the process-wide ProgramCache) and run module
+  /// source in a fresh VM: top-level code runs immediately, function
+  /// declarations become callable afterwards. A reload replaces the
+  /// previous program and its state. Parse errors, compiler size
+  /// limits (compiler.hpp) and top-level runtime errors are returned.
   Status Load(const std::string& source);
 
   bool HasFunction(const std::string& name) const;
@@ -76,54 +59,39 @@ class Context {
 
   /// Snapshot the module-defined, JSON-serializable globals — the
   /// variables the module source created on top of the baseline
-  /// environment (stdlib + host functions are excluded automatically,
-  /// functions and other non-serializable values are skipped).
-  /// Restoring a snapshot into a freshly-Loaded context of the same
-  /// source resumes the module's state — the basis of live module
-  /// migration between devices.
+  /// (stdlib + host functions and globals defined through this class
+  /// are excluded; functions and other non-serializable values are
+  /// skipped). Restoring a snapshot into a freshly-Loaded context of
+  /// the same source resumes the module's state — the basis of live
+  /// module migration between devices.
   json::Value SnapshotState() const;
 
   /// Overwrite globals from a snapshot produced by SnapshotState().
+  /// kInvalidArgument for a non-object, a key naming a baseline
+  /// global or more globals than the VM can hold; kFailedPrecondition
+  /// before a program is loaded. A rejected snapshot changes nothing.
   Status RestoreState(const json::Value& snapshot);
 
-  Interpreter& interpreter() { return *interp_; }
+  /// The console.log sink handed to host functions.
+  Interpreter& interpreter() { return interp_; }
 
-  /// Engine actually executing this context's code — resolved from the
-  /// options / VP_SCRIPT_ENGINE after Load (compile failures fall back
-  /// to the interpreter).
-  ScriptEngine engine() const { return engine_; }
-
-  /// The VM backing this context, or nullptr on the interpreter
-  /// engine. Exposed for GC instrumentation in tests and benchmarks.
+  /// The VM running the loaded program (nullptr before Load). Exposed
+  /// for GC instrumentation in tests and benchmarks.
   Vm* vm() { return vm_.get(); }
 
-  /// Script-engine heap bytes currently resident. The tree-walking
-  /// interpreter does not track allocation and reports 0 — the
-  /// lifecycle memory accounting is VM-engine-honest only.
+  /// Script heap bytes currently resident.
   size_t MemoryBytes() const { return vm_ ? vm_->bytes_allocated() : 0; }
 
  private:
-  bool resolve_ = true;
-  ScriptEngine engine_ = ScriptEngine::kInterp;
   ContextOptions options_;
+  Interpreter interp_;
+  /// stdlib + host functions + DefineGlobal values, in definition
+  /// order; imported into each Load's VM as baseline globals.
+  std::vector<std::pair<std::string, Value>> baseline_;
+  /// Cache entry backing vm_'s bytecode, held so the linked program
+  /// outlives cache eviction.
+  std::shared_ptr<const CachedProgram> program_;
   std::unique_ptr<Vm> vm_;
-  /// One-entry cache for Call's name→binding lookup: the module
-  /// runtime invokes the same handler (`event_received`) per event, so
-  /// the repeat lookup is a string equality + an index probe instead
-  /// of a hash + scan. Verified against the interned id, so a stale
-  /// entry (redefined global) degrades to the full lookup.
-  std::string call_cache_name_;
-  uint32_t call_cache_id_ = kNoNameId;
-  uint32_t call_cache_index_ = 0;
-  std::shared_ptr<Environment> globals_;
-  std::unique_ptr<Interpreter> interp_;
-  std::shared_ptr<Program> program_;
-  /// Cache entry backing vm_'s bytecode (VM engine + share_programs
-  /// only). Held so the linked program outlives cache eviction.
-  std::shared_ptr<const class CachedProgram> cached_program_;
-  /// Globals present before user code ran (stdlib + host functions) —
-  /// excluded from snapshots.
-  std::vector<std::string> baseline_globals_;
 };
 
 }  // namespace vp::script

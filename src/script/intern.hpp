@@ -1,9 +1,9 @@
 // Name interning for the vpscript engine.
 //
-// The resolver pass and the runtime agree on a process-wide mapping
-// from identifier / property-key spellings to dense uint32 ids, so the
-// hot paths (variable lookup, object member access) compare integers
-// instead of strings. The table is append-only and bounded: only names
+// The compiler and the VM agree on a process-wide mapping from global /
+// property-key spellings to dense uint32 ids, so the hot paths (global
+// slot lookup, object member access) compare integers instead of
+// strings. The table is append-only and bounded: only names
 // that appear in program text or are registered by the host (stdlib,
 // host functions, snapshot keys) are interned — keys fabricated at
 // runtime (`obj[dynamic] = …`) stay plain strings, so a long-running
@@ -56,7 +56,7 @@ class Interner {
 
   // deque: stable string storage, so NameOf references survive growth.
   std::deque<std::string> names_;
-  // Interning sits on the resolve and context-construction paths, so
+  // Interning sits on the compile and context-load paths, so
   // the index is a flat open-addressing table (linear probing,
   // power-of-two capacity) instead of std::unordered_map — one cache
   // line per probe, no per-node allocation. Entries store id + 1 so 0

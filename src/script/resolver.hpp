@@ -1,35 +1,21 @@
-// vpscript resolver pass: parse → **resolve** → execute.
+// vpscript constant folder: parse → **fold** → compile.
 //
-// Runs once per Context::Load, between the parser and the interpreter,
-// and annotates the AST in place so the per-event hot path stops
-// paying for string scans and per-scope heap allocations:
-//
-//   * identifiers are interned and resolved to either a flat frame
-//     slot (locals of slot-mode functions) or an interned-id
-//     environment reference (globals / captured scopes);
-//   * functions whose locals are provably never captured by a closure
-//     are marked **slot mode**: the interpreter executes them against
-//     a pooled flat frame — no `make_shared<Environment>` per call,
-//     block or loop iteration. Functions that create closures (or
-//     named function expressions that reference their own name) keep
-//     today's Environment-chain semantics;
-//   * member accesses and object-literal keys are pre-interned so
-//     `ScriptObject` lookups compare integer ids;
-//   * constant subexpressions (`2 * 3 + 1`, `"a" + "b"`, `!false`,
-//     folded conditionals) are evaluated at resolve time.
-//
-// Unresolved programs still execute correctly (the interpreter's
-// dynamic fallback), which is the escape hatch `ContextOptions.resolve
-// = false` uses; checkpoint/restore, host interop and `Context`
-// globals always stay Environment-backed.
+// Runs once per distinct source (ProgramCache compiles each source
+// once), between the parser and the bytecode compiler, and rewrites
+// constant subexpressions in place: `2 * 3 + 1`, `"a" + "b"`,
+// `!false`, `-1`, conditionals and `&&`/`||` with a literal left side.
+// Folding goes through EvalBinaryOp (value.cpp), whose semantics match
+// the VM's opcodes, so a folded program computes exactly what the
+// unfolded one would. Nothing else in the tree changes; the compiler
+// derives scopes, slots and interned names itself.
 #pragma once
 
 #include "script/ast.hpp"
 
 namespace vp::script {
 
-/// Annotate `program` in place. Idempotent in effect but meant to be
-/// called exactly once, right after parsing.
+/// Fold `program` in place. Meant to be called exactly once, right
+/// after parsing.
 void ResolveProgram(Program& program);
 
 }  // namespace vp::script

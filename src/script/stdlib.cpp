@@ -1,7 +1,8 @@
-// vpscript standard library: builtin properties/methods on strings and
-// arrays, plus the global console / Math / JSON / Object / Array
-// namespaces. Kept deliberately close to the JavaScript surface that
-// Duktape offers module authors.
+// vpscript standard library: string methods plus the global console /
+// Math / JSON / Object / Array namespaces, as boxed host functions.
+// Array methods are native to the VM (vm.cpp), which operates on its
+// arrays in place. Kept deliberately close to the JavaScript surface
+// that Duktape offers module authors.
 #include <algorithm>
 #include <cmath>
 
@@ -10,7 +11,7 @@
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "script/convert.hpp"
-#include "script/interp.hpp"
+#include "script/stdlib.hpp"
 
 namespace vp::script {
 namespace {
@@ -19,7 +20,9 @@ Value Method(std::string name, HostFunction fn) {
   return Value::MakeHostFunction(std::move(name), std::move(fn));
 }
 
-Result<Value> StringProperty(const std::string& s, const std::string& name) {
+}  // namespace
+
+Value StringProperty(const std::string& s, const std::string& name) {
   if (name == "length") return Value(static_cast<double>(s.size()));
   if (name == "substring" || name == "slice") {
     const bool is_slice = name == "slice";
@@ -154,246 +157,8 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
   return Value::Undefined();
 }
 
-// Array builtins are dispatched by enum so the interpreter's
-// method-call fast path (CallArrayMethod) can invoke them directly,
-// without materializing a bound host-function Value per access.
-enum class ArrayMethod {
-  kPush, kPop, kShift, kUnshift, kSlice, kJoin, kIndexOf, kConcat,
-  kMap, kFilter, kForEach, kReverse, kIncludes, kSort, kReduce,
-};
-
-struct ArrayMethodEntry {
-  const char* name;
-  uint32_t name_id;
-  ArrayMethod method;
-};
-
-const std::vector<ArrayMethodEntry>& ArrayMethodTable() {
-  static const std::vector<ArrayMethodEntry> table = [] {
-    auto& interner = Interner::Global();
-    std::vector<ArrayMethodEntry> t = {
-        {"push", 0, ArrayMethod::kPush},
-        {"pop", 0, ArrayMethod::kPop},
-        {"shift", 0, ArrayMethod::kShift},
-        {"unshift", 0, ArrayMethod::kUnshift},
-        {"slice", 0, ArrayMethod::kSlice},
-        {"join", 0, ArrayMethod::kJoin},
-        {"indexOf", 0, ArrayMethod::kIndexOf},
-        {"concat", 0, ArrayMethod::kConcat},
-        {"map", 0, ArrayMethod::kMap},
-        {"filter", 0, ArrayMethod::kFilter},
-        {"forEach", 0, ArrayMethod::kForEach},
-        {"reverse", 0, ArrayMethod::kReverse},
-        {"includes", 0, ArrayMethod::kIncludes},
-        {"sort", 0, ArrayMethod::kSort},
-        {"reduce", 0, ArrayMethod::kReduce},
-    };
-    for (auto& e : t) e.name_id = interner.Intern(e.name);
-    return t;
-  }();
-  return table;
-}
-
-Result<Value> InvokeArrayMethod(const std::shared_ptr<ScriptArray>& arr,
-                                ArrayMethod method, std::vector<Value>& args,
-                                Interpreter& interp) {
-  switch (method) {
-    case ArrayMethod::kPush: {
-      for (Value& v : args) arr->push_back(std::move(v));
-      return Value(static_cast<double>(arr->size()));
-    }
-    case ArrayMethod::kPop: {
-      if (arr->empty()) return Value::Undefined();
-      Value v = std::move(arr->back());
-      arr->pop_back();
-      return v;
-    }
-    case ArrayMethod::kShift: {
-      if (arr->empty()) return Value::Undefined();
-      Value v = std::move(arr->front());
-      arr->erase(arr->begin());
-      return v;
-    }
-    case ArrayMethod::kUnshift: {
-      arr->insert(arr->begin(), args.begin(), args.end());
-      return Value(static_cast<double>(arr->size()));
-    }
-    case ArrayMethod::kSlice: {
-      int64_t n = static_cast<int64_t>(arr->size());
-      int64_t a = args.size() > 0 ? static_cast<int64_t>(args[0].ToNumber()) : 0;
-      int64_t b = args.size() > 1 ? static_cast<int64_t>(args[1].ToNumber()) : n;
-      if (a < 0) a += n;
-      if (b < 0) b += n;
-      a = std::clamp<int64_t>(a, 0, n);
-      b = std::clamp<int64_t>(b, 0, n);
-      auto out = std::make_shared<ScriptArray>();
-      for (int64_t i = a; i < b; ++i) {
-        out->push_back((*arr)[static_cast<size_t>(i)]);
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kJoin: {
-      const std::string sep = args.empty() ? "," : args[0].ToDisplayString();
-      std::string out;
-      for (size_t i = 0; i < arr->size(); ++i) {
-        if (i) out += sep;
-        out += (*arr)[i].ToDisplayString();
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kIndexOf: {
-      if (args.empty()) return Value(-1.0);
-      for (size_t i = 0; i < arr->size(); ++i) {
-        if ((*arr)[i].StrictEquals(args[0])) {
-          return Value(static_cast<double>(i));
-        }
-      }
-      return Value(-1.0);
-    }
-    case ArrayMethod::kConcat: {
-      auto out = std::make_shared<ScriptArray>(*arr);
-      for (const Value& v : args) {
-        if (v.is_array()) {
-          out->insert(out->end(), v.AsArray()->begin(), v.AsArray()->end());
-        } else {
-          out->push_back(v);
-        }
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kMap:
-    case ArrayMethod::kFilter:
-    case ArrayMethod::kForEach: {
-      if (args.empty() || !args[0].is_function()) {
-        return ScriptError("expected a callback function");
-      }
-      auto out = std::make_shared<ScriptArray>();
-      for (size_t i = 0; i < arr->size(); ++i) {
-        auto r = interp.Call(args[0],
-                             {(*arr)[i], Value(static_cast<double>(i))});
-        if (!r.ok()) return r;
-        switch (method) {
-          case ArrayMethod::kMap: out->push_back(std::move(*r)); break;
-          case ArrayMethod::kFilter:
-            if (r->Truthy()) out->push_back((*arr)[i]);
-            break;
-          default: break;
-        }
-      }
-      if (method == ArrayMethod::kForEach) return Value::Undefined();
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kReverse: {
-      std::reverse(arr->begin(), arr->end());
-      return Value(arr);
-    }
-    case ArrayMethod::kIncludes: {
-      if (args.empty()) return Value(false);
-      for (const Value& v : *arr) {
-        if (v.StrictEquals(args[0])) return Value(true);
-      }
-      return Value(false);
-    }
-    case ArrayMethod::kSort: {
-      Status failure = Status::Ok();
-      if (!args.empty() && args[0].is_function()) {
-        std::stable_sort(arr->begin(), arr->end(),
-                         [&](const Value& a, const Value& b) {
-                           if (!failure.ok()) return false;
-                           auto r = interp.Call(args[0], {a, b});
-                           if (!r.ok()) {
-                             failure = Status(r.error());
-                             return false;
-                           }
-                           return r->ToNumber() < 0;
-                         });
-      } else {
-        // Default: numeric when everything is a number, else lexical
-        // (saner than JS's always-lexicographic default).
-        bool all_numbers = true;
-        for (const Value& v : *arr) all_numbers &= v.is_number();
-        std::stable_sort(arr->begin(), arr->end(),
-                         [all_numbers](const Value& a, const Value& b) {
-                           if (all_numbers) return a.AsNumber() < b.AsNumber();
-                           return a.ToDisplayString() < b.ToDisplayString();
-                         });
-      }
-      if (!failure.ok()) return failure.error();
-      return Value(arr);
-    }
-    case ArrayMethod::kReduce: {
-      if (args.empty() || !args[0].is_function()) {
-        return ScriptError("expected a callback function");
-      }
-      size_t start = 0;
-      Value acc;
-      if (args.size() > 1) {
-        acc = args[1];
-      } else {
-        if (arr->empty()) return ScriptError("reduce of empty array");
-        acc = (*arr)[0];
-        start = 1;
-      }
-      for (size_t i = start; i < arr->size(); ++i) {
-        auto r = interp.Call(
-            args[0], {std::move(acc), (*arr)[i], Value(static_cast<double>(i))});
-        if (!r.ok()) return r;
-        acc = std::move(*r);
-      }
-      return acc;
-    }
-  }
-  return Value::Undefined();
-}
-
-Result<Value> ArrayProperty(const std::shared_ptr<ScriptArray>& arr,
-                            const std::string& name) {
-  if (name == "length") return Value(static_cast<double>(arr->size()));
-  for (const auto& entry : ArrayMethodTable()) {
-    if (name == entry.name) {
-      const ArrayMethod method = entry.method;
-      return Method(name, [arr, method](std::vector<Value>& args,
-                                        Interpreter& interp) -> Result<Value> {
-        return InvokeArrayMethod(arr, method, args, interp);
-      });
-    }
-  }
-  return Value::Undefined();
-}
-
-}  // namespace
-
-bool CallArrayMethod(const std::shared_ptr<ScriptArray>& arr, uint32_t name_id,
-                     std::vector<Value>& args, Interpreter& interp,
-                     Result<Value>* out) {
-  if (name_id == kNoNameId) return false;
-  for (const auto& entry : ArrayMethodTable()) {
-    if (entry.name_id == name_id) {
-      *out = InvokeArrayMethod(arr, entry.method, args, interp);
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<Value> GetProperty(const Value& object, const std::string& name,
-                          Interpreter& interp) {
-  (void)interp;
-  switch (object.type()) {
-    case ValueType::kObject: {
-      const Value* v = object.AsObject()->Find(name);
-      return v ? *v : Value::Undefined();
-    }
-    case ValueType::kArray:
-      return ArrayProperty(object.AsArray(), name);
-    case ValueType::kString:
-      return StringProperty(object.AsString(), name);
-    default:
-      return Value::Undefined();
-  }
-}
-
-void InstallStdlib(Environment& globals, uint64_t seed) {
+std::vector<std::pair<std::string, Value>> StdlibGlobals(uint64_t seed) {
+  std::vector<std::pair<std::string, Value>> globals;
   // ---- console ------------------------------------------------------
   auto console = std::make_shared<ScriptObject>();
   console->Set("log", Value::MakeHostFunction(
@@ -407,7 +172,7 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                             interp.Print(line);
                             return Value::Undefined();
                           }));
-  globals.Define("console", Value(console));
+  globals.emplace_back("console", Value(console));
 
   // ---- Math ---------------------------------------------------------
   auto math = std::make_shared<ScriptObject>();
@@ -487,7 +252,7 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                           }));
   math->Set("PI", Value(M_PI));
   math->Set("E", Value(M_E));
-  globals.Define("Math", Value(math));
+  globals.emplace_back("Math", Value(math));
 
   // ---- JSON ---------------------------------------------------------
   auto json_ns = std::make_shared<ScriptObject>();
@@ -510,7 +275,7 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                               if (!j.ok()) return j.error();
                               return JsonToScript(*j);
                             }));
-  globals.Define("JSON", Value(json_ns));
+  globals.emplace_back("JSON", Value(json_ns));
 
   // ---- Object / Array helpers ----------------------------------------
   auto object_ns = std::make_shared<ScriptObject>();
@@ -526,7 +291,7 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                                }
                                return Value(std::move(out));
                              }));
-  globals.Define("Object", Value(object_ns));
+  globals.emplace_back("Object", Value(object_ns));
 
   auto array_ns = std::make_shared<ScriptObject>();
   array_ns->Set("isArray", Value::MakeHostFunction(
@@ -535,43 +300,44 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                                  return Value(!args.empty() &&
                                               args[0].is_array());
                                }));
-  globals.Define("Array", Value(array_ns));
+  globals.emplace_back("Array", Value(array_ns));
 
   // ---- Primitive conversion helpers -----------------------------------
-  globals.Define("String", Value::MakeHostFunction(
+  globals.emplace_back("String", Value::MakeHostFunction(
                                "String", [](std::vector<Value>& args,
                                             Interpreter&) -> Result<Value> {
                                  return Value(args.empty()
                                                   ? ""
                                                   : args[0].ToDisplayString());
                                }));
-  globals.Define("Number", Value::MakeHostFunction(
+  globals.emplace_back("Number", Value::MakeHostFunction(
                                "Number", [](std::vector<Value>& args,
                                             Interpreter&) -> Result<Value> {
                                  return Value(args.empty()
                                                   ? 0.0
                                                   : args[0].ToNumber());
                                }));
-  globals.Define("parseInt",
+  globals.emplace_back("parseInt",
                  Value::MakeHostFunction(
                      "parseInt", [](std::vector<Value>& args,
                                     Interpreter&) -> Result<Value> {
                        if (args.empty()) return Value(std::nan(""));
                        return Value(std::trunc(args[0].ToNumber()));
                      }));
-  globals.Define("parseFloat",
+  globals.emplace_back("parseFloat",
                  Value::MakeHostFunction(
                      "parseFloat", [](std::vector<Value>& args,
                                       Interpreter&) -> Result<Value> {
                        if (args.empty()) return Value(std::nan(""));
                        return Value(args[0].ToNumber());
                      }));
-  globals.Define("isNaN", Value::MakeHostFunction(
+  globals.emplace_back("isNaN", Value::MakeHostFunction(
                               "isNaN", [](std::vector<Value>& args,
                                           Interpreter&) -> Result<Value> {
                                 return Value(args.empty() ||
                                              std::isnan(args[0].ToNumber()));
                               }));
+  return globals;
 }
 
 }  // namespace vp::script

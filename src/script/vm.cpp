@@ -1,9 +1,10 @@
 // vpscript bytecode VM: dispatch loop, NaN-boxed values, tracing GC.
 //
 // Semantics (error messages, coercions, stdlib behaviour, snapshot key
-// order) mirror interp.cpp byte-for-byte — the cross-engine equivalence
-// tests diff both engines' outputs directly. Deviate only with a
-// matching interpreter change.
+// order) are pinned by literal expectations in tests/test_script_vm.cpp
+// and test_script_semantics.cpp; the arithmetic and comparison opcodes
+// must also agree with EvalBinaryOp (value.cpp), which the constant
+// folder uses, so folding never changes a result.
 #include "script/vm.hpp"
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "common/strings.hpp"
 #include "script/convert.hpp"
+#include "script/stdlib.hpp"
 
 // Token-threaded dispatch needs GNU "labels as values"; fall back to a
 // plain switch elsewhere. Define VP_VM_FORCE_SWITCH to benchmark the
@@ -76,8 +78,7 @@ constexpr size_t kStackCapacity = 1 << 17;
 constexpr size_t kStackHeadroom = 4096;
 constexpr size_t kInitialGcThreshold = 256 * 1024;
 
-/// Array builtin ordinals — same order as stdlib.cpp's ArrayMethod so
-/// the two tables can never drift apart silently.
+/// Array builtin ordinals, in ArrayMethodNames() order.
 enum class ArrMethod : uint8_t {
   kPush, kPop, kShift, kUnshift, kSlice, kJoin, kIndexOf, kConcat,
   kMap, kFilter, kForEach, kReverse, kIncludes, kSort, kReduce,
@@ -134,7 +135,7 @@ ValueType VmValueType(VpValue v) {
       case GcType::kString: return ValueType::kString;
       case GcType::kArray: return ValueType::kArray;
       case GcType::kObject: return ValueType::kObject;
-      case GcType::kClosure: return ValueType::kFunction;
+      case GcType::kClosure:
       case GcType::kHostFn:
       case GcType::kBoundMethod: return ValueType::kHostFunction;
       case GcType::kUpvalue: break;  // never script-visible
@@ -207,8 +208,8 @@ void FreeObject(GcObj* obj) {
 
 // -------------------------------------------------------- construction
 
-Vm::Vm(InterpreterLimits limits, Interpreter* fallback_interp)
-    : limits_(limits), interp_(fallback_interp) {
+Vm::Vm(InterpreterLimits limits, Interpreter* interp)
+    : limits_(limits), interp_(interp) {
   static_assert(std::is_trivially_copyable_v<VpValue> &&
                 std::is_trivially_destructible_v<VpValue>);
   stack_.reset(static_cast<VpValue*>(
@@ -551,8 +552,8 @@ Status Vm::PushFrame(VpValue callee, int argc, int line) {
   (void)line;
   auto* closure = static_cast<GcClosure*>(callee.AsHeap());
   const FunctionProto* proto = closure->proto;
-  // Interpreter parity: call_depth_ >= max_call_depth rejects the call.
-  // depth_base_ maps frame count to interpreter depth for this entry.
+  // A call at depth max_call_depth is rejected; depth_base_ maps frame
+  // count to call depth for this entry.
   if (frames_.size() >=
       depth_base_ + static_cast<size_t>(limits_.max_call_depth)) {
     return Status(StatusCode::kScriptError,
@@ -567,8 +568,8 @@ Status Vm::PushFrame(VpValue callee, int argc, int line) {
   if (base + proto->max_stack > kStackCapacity) {
     return Status(StatusCode::kScriptError, "stack overflow");
   }
-  // Arity fixup, as the interpreter's positional parameter bind: extra
-  // arguments dropped, missing ones undefined.
+  // Arity fixup, positional: extra arguments dropped, missing ones
+  // undefined.
   while (argc > proto->arity) {
     --sp_;
     --argc;
@@ -653,9 +654,9 @@ Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
 }
 
 // ------------------------------------------------- native array methods
-// Exact mirrors of stdlib.cpp's InvokeArrayMethod, operating on VM
-// values in place. Arguments live on the VM stack (rooted across
-// reentrant callbacks).
+// The array builtins, operating on VM arrays in place (the boxed stdlib
+// has none). Arguments live on the VM stack (rooted across reentrant
+// callbacks).
 
 Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
                              int line, VpValue* out) {
@@ -752,7 +753,8 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
       GcArray* result = NewArray();
       TempRootScope roots(*this);
       roots.Pin(VpValue::Heap(result));  // survives callback-driven GC
-      // Live re-reads of size/elements each iteration, like stdlib.
+      // Size and elements are re-read every iteration: a callback that
+      // mutates the array is observed.
       for (size_t i = 0; i < arr->items.size(); ++i) {
         VpValue cb_args[2] = {arr->items[i],
                               VpValue::Number(static_cast<double>(i))};
@@ -878,7 +880,7 @@ Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
     }
     const uint8_t method = ArrayMethodOf(name);
     if (method != kNoArrayMethod) {
-      // Fresh per access, like stdlib's ArrayProperty bound Method.
+      // A fresh bound method per access.
       return VpValue::Heap(NewBoundMethod(obj, method, name->text));
     }
     return VpValue::Undefined();
@@ -887,9 +889,7 @@ Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
     // String methods bridge through the boxed stdlib (they capture the
     // string by value, so the round trip is loss-free).
     auto* s = static_cast<GcString*>(obj.AsHeap());
-    auto r = GetProperty(Value(s->text), name->text, *interp_);
-    if (!r.ok()) return r.error();
-    return BoxedToVm(*r);
+    return BoxedToVm(StringProperty(s->text, name->text));
   }
   return VpValue::Undefined();  // numbers, booleans, functions
 }
@@ -1551,7 +1551,7 @@ Status Vm::Run(size_t base_frames) {
             Push(VpValue::Heap(keys));
             keys->items.reserve(o->items.size());
             // Keys snapshot up-front (mutation during the loop does not
-            // change the iteration), matching the interpreter.
+            // change the iteration).
             for (const auto& e : o->items) {
               keys->items.push_back(VpValue::Heap(NewString(e.key)));
             }
@@ -1598,7 +1598,7 @@ Status Vm::Run(size_t base_frames) {
 
   unwind:
     // Everything except budget exhaustion is catchable (call-depth
-    // errors included), exactly like the tree-walker.
+    // errors included).
     if (err.code() != StatusCode::kResourceExhausted && !handlers_.empty() &&
         handlers_.back().frame_index >= base_frames) {
       const Handler h = handlers_.back();
@@ -1638,23 +1638,29 @@ uint16_t Vm::AdoptProto(std::unique_ptr<FunctionProto> proto) {
   return static_cast<uint16_t>(protos_.size() - 1);
 }
 
-uint16_t Vm::GlobalSlot(const std::string& name) {
+Result<uint16_t> Vm::GlobalSlot(const std::string& name) {
   const uint32_t id = Interner::Global().Intern(name);
   auto it = global_index_.find(id);
   if (it != global_index_.end()) return it->second;
-  const uint16_t slot = static_cast<uint16_t>(globals_.size());
+  if (globals_.size() >= kMaxGlobals) {
+    return ResourceExhausted("too many globals");
+  }
+  const auto slot = static_cast<uint16_t>(globals_.size());
   globals_.push_back(GlobalSlotData{id, name});
   global_index_.emplace(id, slot);
   return slot;
 }
 
-void Vm::ImportGlobal(const std::string& name, const Value& v,
-                      bool baseline) {
-  const uint16_t slot = GlobalSlot(name);
+Status Vm::ImportGlobal(const std::string& name, const Value& v,
+                        bool baseline) {
+  auto slot = GlobalSlot(name);
+  if (!slot.ok()) return slot.status();
+  GlobalSlotData& g = globals_[*slot];
   import_memo_.clear();
-  globals_[slot].value = ImportValueRec(v);
-  globals_[slot].is_const = false;
-  globals_[slot].baseline = baseline;
+  g.value = ImportValueRec(v);
+  g.is_const = false;
+  g.baseline = baseline;
+  return Status::Ok();
 }
 
 Status Vm::RunTopLevel(const FunctionProto* top) {
@@ -1675,13 +1681,6 @@ Status Vm::RunTopLevel(const FunctionProto* top) {
 }
 
 // ---------------------------------------------------- host entry points
-
-bool Vm::HasGlobal(const std::string& name) const {
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return false;
-  auto it = global_index_.find(id);
-  return it != global_index_.end() && !globals_[it->second].value.is_empty();
-}
 
 bool Vm::GlobalIsFunction(const std::string& name) const {
   const uint32_t id = Interner::Global().Lookup(name);
@@ -1714,7 +1713,7 @@ Result<Value> Vm::CallGlobal(const std::string& name,
 
   if (fn.IsHeapType(GcType::kHostFn)) {
     // A host function stored in a global: call it on boxed values
-    // directly, no VM frame involved (matches the interpreter).
+    // directly, no VM frame involved.
     auto r = static_cast<GcHostFn*>(fn.AsHeap())->host->fn(args, *interp_);
     if (!r.ok()) return r.error();
     return *r;
@@ -1747,9 +1746,8 @@ Result<Value> Vm::CallGlobal(const std::string& name,
 
 json::Value Vm::SnapshotState() {
   json::Value snapshot = json::Value::MakeObject();
-  // Slot order is the interpreter's definition order (hoisted functions
-  // first, then vars — see CompileProgram), so keys match across
-  // engines.
+  // Slot order is definition order (hoisted functions first, then
+  // vars — see CompileProgram), so keys come out in a stable order.
   for (const GlobalSlotData& g : globals_) {
     if (g.baseline || g.value.is_empty() || g.value.is_undefined()) continue;
     if (IsCallable(g.value)) continue;
@@ -1760,13 +1758,31 @@ json::Value Vm::SnapshotState() {
   return snapshot;
 }
 
-void Vm::RestoreState(const json::Value& snapshot) {
+Status Vm::RestoreState(const json::Value& snapshot) {
+  // Validate everything before the first write: a rejected snapshot
+  // leaves the module exactly as it was.
+  size_t fresh = 0;
   for (const auto& [key, value] : snapshot.AsObject()) {
-    const uint16_t slot = GlobalSlot(key);
-    import_memo_.clear();
-    globals_[slot].value = ImportValueRec(JsonToScript(value));
-    globals_[slot].is_const = false;
+    const uint32_t id = Interner::Global().Lookup(key);
+    auto it = id == kNoNameId ? global_index_.end() : global_index_.find(id);
+    if (it == global_index_.end()) {
+      ++fresh;
+    } else if (globals_[it->second].baseline) {
+      return Status(StatusCode::kInvalidArgument,
+                    "state snapshot names baseline global '" + key + "'");
+    }
   }
+  if (globals_.size() + fresh > kMaxGlobals) {
+    return Status(StatusCode::kInvalidArgument,
+                  Format("state snapshot needs %zu global slots (limit %zu)",
+                         globals_.size() + fresh, kMaxGlobals));
+  }
+  for (const auto& [key, value] : snapshot.AsObject()) {
+    GlobalSlotData& g = globals_[*GlobalSlot(key)];
+    import_memo_.clear();
+    g.value = ImportValueRec(JsonToScript(value));
+  }
+  return Status::Ok();
 }
 
 // ------------------------------------------------------ host conversion
@@ -1821,19 +1837,6 @@ VpValue Vm::ImportValueRec(const Value& v) {
         arr->items.push_back(ImportValueRec(item));
       }
       return out;
-    }
-    case ValueType::kFunction: {
-      // A tree-walker closure escaping into the VM: wrap it as a host
-      // function that calls back through the interpreter.
-      const Value boxed_fn = v;
-      Interpreter* interp = interp_;
-      auto host = std::make_shared<HostFunctionValue>();
-      host->name = v.AsFunction()->name;
-      host->fn = [boxed_fn, interp](std::vector<Value>& args,
-                                    Interpreter&) -> Result<Value> {
-        return interp->Call(boxed_fn, args);
-      };
-      return VpValue::Heap(NewHostFn(std::move(host)));
     }
     case ValueType::kHostFunction:
       return VpValue::Heap(NewHostFn(v.AsHostFunction()));

@@ -1,20 +1,19 @@
 // vpscript bytecode virtual machine.
 //
-// The VM executes compact bytecode produced by compiler.hpp from the
-// resolved AST. It replaces the boxed, shared_ptr-based Value on its
-// hot path with a NaN-boxed 64-bit representation: doubles are stored
+// The VM is vpscript's only engine. It executes compact bytecode
+// produced by compiler.hpp from the folded AST (ProgramCache compiles
+// each distinct source once). Values on its hot path are NaN-boxed
+// 64-bit words, not the shared_ptr-based host Value: doubles are stored
 // verbatim, singletons (undefined/null/true/false) live in the quiet
 // NaN space, and heap objects (strings, arrays, objects, closures,
 // upvalue cells, host-function wrappers) are 48-bit pointers into a
 // VM-owned heap reclaimed by a mark-and-sweep tracing collector.
 //
-// Why: the tree-walking interpreter's closures hold
-// shared_ptr<Environment> while environments hold the Values that own
-// those closures — a reference cycle that reference counting can never
-// reclaim. The tracing GC eliminates that class of leak by
-// construction: anything unreachable from the VM roots (value stack,
-// call frames, globals, open upvalues, host-escaped handles) is
-// reclaimed, cycles included.
+// Why tracing: module code routinely builds closure cycles (an object
+// holding a closure that captures the object), which reference
+// counting can never reclaim. Anything unreachable from the VM roots
+// (value stack, call frames, globals, open upvalues, host-escaped
+// handles) is reclaimed, cycles included.
 //
 // Determinism: collection is driven purely by allocation pressure
 // (bytes allocated since the last cycle), checked only at instruction
@@ -37,12 +36,20 @@
 
 #include "common/error.hpp"
 #include "json/value.hpp"
-#include "script/interp.hpp"
 #include "script/value.hpp"
 
 namespace vp::script {
 
 class Vm;
+
+/// Per-entry guards, as a FaaS runtime enforces on untrusted
+/// functions: a runaway `while(true)` or unbounded recursion in module
+/// code errors out cleanly instead of stalling the device runtime.
+struct InterpreterLimits {
+  /// Maximum bytecode instructions per entry (Load / Call).
+  uint64_t max_steps = 5'000'000;
+  int max_call_depth = 128;
+};
 
 // ------------------------------------------------------------ values
 
@@ -184,9 +191,8 @@ struct GcClosure : GcObj {
                                                proto(p) {}
 };
 
-/// A boxed host function (or a boxed tree-walker closure) exposed to
-/// VM code. Calls deep-convert arguments to boxed Values and the
-/// result back.
+/// A boxed host function exposed to VM code. Calls deep-convert
+/// arguments to boxed Values and the result back.
 struct GcHostFn : GcObj {
   std::shared_ptr<HostFunctionValue> host;
   explicit GcHostFn(std::shared_ptr<HostFunctionValue> h)
@@ -258,7 +264,9 @@ enum class Op : uint8_t {
 /// mirroring the paper's one-Duktape-context-per-module design).
 class Vm {
  public:
-  explicit Vm(InterpreterLimits limits, Interpreter* fallback_interp);
+  /// `interp` is the print sink handed to host functions; it may be
+  /// null for a Vm that only compiles (ProgramCache's scratch Vm).
+  explicit Vm(InterpreterLimits limits, Interpreter* interp);
   ~Vm();
 
   Vm(const Vm&) = delete;
@@ -273,9 +281,13 @@ class Vm {
   }
   size_t proto_count() const { return protos_.size(); }
 
-  /// Global-slot bookkeeping (compile time): index for `name`,
-  /// allocating an empty slot on first use.
-  uint16_t GlobalSlot(const std::string& name);
+  /// Global slots are u16 bytecode operands: at most this many.
+  static constexpr size_t kMaxGlobals = 0x10000;
+
+  /// Global-slot bookkeeping: index for `name`, allocating an empty
+  /// slot on first use. Fails ("too many globals") once kMaxGlobals
+  /// slots exist — the compiler reports that as a load error.
+  Result<uint16_t> GlobalSlot(const std::string& name);
   /// Slot-table introspection in allocation order — the program cache
   /// records this layout so a cached program links into a fresh Vm
   /// with identical slot operands.
@@ -284,21 +296,26 @@ class Vm {
   }
   size_t global_count() const { return globals_.size(); }
 
-  /// Import a boxed value as a defined global (baseline import from the
-  /// Environment at Load, or a post-Load DefineGlobal).
-  void ImportGlobal(const std::string& name, const Value& v, bool baseline);
+  /// Import a boxed value as a defined global (the context's baseline
+  /// at Load, or a post-Load DefineGlobal). Fails only when the slot
+  /// table is full.
+  Status ImportGlobal(const std::string& name, const Value& v, bool baseline);
 
   /// Run the top-level proto. Call once per Load.
   Status RunTopLevel(const FunctionProto* top);
 
   // -- host entry points ----------------------------------------------
-  bool HasGlobal(const std::string& name) const;
   bool GlobalIsFunction(const std::string& name) const;
   Value GetGlobalBoxed(const std::string& name);
   Result<Value> CallGlobal(const std::string& name, std::vector<Value> args);
 
   json::Value SnapshotState();
-  void RestoreState(const json::Value& snapshot);
+  /// Overwrite module globals from a SnapshotState() object. The whole
+  /// snapshot is validated first: a key naming a baseline global
+  /// (stdlib, host function) or needing a slot past kMaxGlobals fails
+  /// with kInvalidArgument and writes nothing. Restored globals keep
+  /// their `const` flag.
+  Status RestoreState(const json::Value& snapshot);
 
   void ResetBudget() { steps_used_ = 0; }
 
@@ -331,8 +348,6 @@ class Vm {
   /// Deep conversions across the host boundary (cycle-safe).
   VpValue BoxedToVm(const Value& v);
   Value VmToBoxed(VpValue v);
-
-  Interpreter* fallback_interpreter() const { return interp_; }
 
  private:
   struct Frame {
@@ -404,7 +419,7 @@ class Vm {
   void Sweep();
 
   InterpreterLimits limits_;
-  Interpreter* interp_;  // print handler + boxed-closure fallback calls
+  Interpreter* interp_;  // print sink handed to host functions
 
   // Execution state. The stack has fixed capacity so upvalue pointers
   // into it stay stable. The backing is raw UNINITIALIZED storage:
@@ -447,8 +462,7 @@ class Vm {
   /// here for the life of the Vm — the host-side shared_ptr is
   /// invisible to the collector.
   std::vector<VpValue> escaped_;
-  /// Frame count corresponding to interpreter call depth 0 for the
-  /// current entry (1 for RunTopLevel — the script frame is not a
+  /// Frame count corresponding to call depth 0 for the current entry (1 for RunTopLevel — the script frame is not a
   /// "call" — 0 for CallGlobal).
   size_t depth_base_ = 0;
 

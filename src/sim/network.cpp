@@ -183,7 +183,11 @@ void Network::SendReliable(const std::string& from, const std::string& to,
   auto state = std::make_shared<bool>(false);  // delivered yet?
   auto task = std::make_shared<Task>(std::move(on_delivery));
   auto attempt = std::make_shared<std::function<void(int)>>();
-  *attempt = [this, from, to, bytes, state, task, attempt, kRetryTimeout](
+  // The closure refers to itself weakly; the pending retry event holds
+  // the strong reference, so the chain is freed once it stops (a strong
+  // self-capture would be a reference cycle that never is).
+  std::weak_ptr<std::function<void(int)>> self = attempt;
+  *attempt = [this, from, to, bytes, state, task, self, kRetryTimeout](
                  int tries_left) {
     if (*state || tries_left <= 0) return;
     SendTagged(from, to, bytes,
@@ -192,8 +196,8 @@ void Network::SendReliable(const std::string& from, const std::string& to,
                  *state = true;
                  if (*task) (*task)();
                });
-    sim_->After(kRetryTimeout, [state, attempt, tries_left]() {
-      if (!*state) (*attempt)(tries_left - 1);
+    sim_->After(kRetryTimeout, [state, retry = self.lock(), tries_left]() {
+      if (!*state) (*retry)(tries_left - 1);
     });
   };
   (*attempt)(kMaxAttempts);

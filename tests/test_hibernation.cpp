@@ -1,8 +1,7 @@
 // Scale-to-zero lifecycle: program cache, warm pool, hibernation,
 // rehydration, burst wakeup admission.
 //
-// Seed-sweepable: set VP_TEST_SEED (CI runs 1..5); default 42. Runs
-// under both script engines via the VP_SCRIPT_ENGINE ctest matrix.
+// Seed-sweepable: set VP_TEST_SEED (CI runs 1..5); default 42.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -41,11 +40,10 @@ TEST(ProgramCache, HitMissAndSharing) {
     var calls = 0;
     function bump(n) { calls = calls + n; return calls; }
   )";
-  script::InterpreterLimits limits;
-  auto first = script::ProgramCache::Global().Acquire(source, limits);
+  auto first = script::ProgramCache::Global().Acquire(source);
   ASSERT_TRUE(first.ok());
   ASSERT_NE(*first, nullptr);
-  auto second = script::ProgramCache::Global().Acquire(source, limits);
+  auto second = script::ProgramCache::Global().Acquire(source);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same shared entry
 
@@ -60,10 +58,8 @@ TEST(ProgramCache, ContextsShareCompiledProgramsButNotState) {
     var counter = 0;
     function tick() { counter = counter + 1; return counter; }
   )";
-  script::ContextOptions options;
-  options.engine = script::ScriptEngine::kVm;  // cache is VM-only
-  script::Context a(options);
-  script::Context b(options);
+  script::Context a;
+  script::Context b;
   ASSERT_TRUE(a.Load(source).ok());
   ASSERT_TRUE(b.Load(source).ok());
   const auto stats = script::ProgramCache::Global().stats();
@@ -77,14 +73,25 @@ TEST(ProgramCache, ContextsShareCompiledProgramsButNotState) {
   EXPECT_EQ(b.GetGlobal("counter").ToNumber(), 1.0);
 }
 
-TEST(ProgramCache, UncompilableSourceFallsBackWithoutPoisoning) {
+TEST(ProgramCache, UncompilableSourceIsALoadErrorAndNotCached) {
   script::ProgramCache::Global().Clear();
-  script::ContextOptions options;
-  options.engine = script::ScriptEngine::kVm;
-  script::Context context(options);
-  // Valid program; still must load (possibly via interp fallback if
-  // the compiler rejects a construct) — Load never hard-fails just
-  // because the cache cannot serve it.
+  const auto before = script::ProgramCache::Global().stats();
+  // 256 call arguments overflow the u8 argc operand.
+  std::string args = "0";
+  for (int i = 1; i < 256; ++i) args += ", 0";
+  const std::string source = "function f() {} f(" + args + ");";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    script::Context context;
+    const Status loaded = context.Load(source);
+    EXPECT_EQ(loaded.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(loaded.message(), "script compile: too many call arguments");
+  }
+  // Both attempts compiled (a rejected source is not remembered) and
+  // neither poisoned the cache for valid sources.
+  const auto after = script::ProgramCache::Global().stats();
+  EXPECT_EQ(after.misses, before.misses + 2);
+  EXPECT_EQ(after.entries, 0u);
+  script::Context context;
   ASSERT_TRUE(context.Load("var x = 1;").ok());
   EXPECT_EQ(context.GetGlobal("x").ToNumber(), 1.0);
 }
@@ -187,11 +194,9 @@ TEST(Hibernation, IdleDetectionHibernatesAndReleasesResources) {
   EXPECT_EQ(lifecycle::HibernationManager::ResidentScriptBytes(
                 *rig.pipeline),
             0u);
-  if (resident_running > 0) {  // VM engine tracks bytes; interp is 0
-    EXPECT_LT(lifecycle::HibernationManager::ResidentScriptBytes(
-                  *rig.pipeline),
-              resident_running / 2);
-  }
+  EXPECT_GT(resident_running, 0u);
+  EXPECT_LT(lifecycle::HibernationManager::ResidentScriptBytes(*rig.pipeline),
+            resident_running / 2);
   // Exclusive frame stores cleared.
   const std::string device = rig.pipeline->plan().module_device.at("m");
   EXPECT_EQ(rig.orchestrator->store(device).size(), 0u);

@@ -1,6 +1,10 @@
-// Tests for the vpscript interpreter, standard library, contexts and
-// JSON interop.
+// Tests for how vpscript interprets programs: language semantics, the
+// standard library, the step and depth guards, the Context API and JSON
+// interop. Every case runs on the bytecode VM, vpscript's only engine.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "json/parse.hpp"
 #include "json/write.hpp"
@@ -37,7 +41,9 @@ bool Boolean(const std::string& body) {
   return v.ok() && v->is_bool() && v->AsBool();
 }
 
-TEST(Interp, ArithmeticAndPrecedence) {
+// ---------------------------------------------------------- language
+
+TEST(VmLanguage, ArithmeticAndPrecedence) {
   EXPECT_DOUBLE_EQ(Num("var result = 2 + 3 * 4;"), 14);
   EXPECT_DOUBLE_EQ(Num("var result = (2 + 3) * 4;"), 20);
   EXPECT_DOUBLE_EQ(Num("var result = 7 % 3;"), 1);
@@ -45,12 +51,12 @@ TEST(Interp, ArithmeticAndPrecedence) {
   EXPECT_DOUBLE_EQ(Num("var result = 10 / 4;"), 2.5);
 }
 
-TEST(Interp, StringConcatenation) {
+TEST(VmLanguage, StringConcatenation) {
   EXPECT_EQ(Str("var result = 'a' + 'b' + 1;"), "ab1");
   EXPECT_EQ(Str("var result = 1 + 2 + 'x';"), "3x");  // left assoc
 }
 
-TEST(Interp, ComparisonsAndEquality) {
+TEST(VmLanguage, ComparisonsAndEquality) {
   EXPECT_TRUE(Boolean("var result = 3 < 5;"));
   EXPECT_TRUE(Boolean("var result = 'abc' < 'abd';"));
   EXPECT_TRUE(Boolean("var result = 5 == '5';"));    // loose
@@ -60,7 +66,7 @@ TEST(Interp, ComparisonsAndEquality) {
   EXPECT_TRUE(Boolean("var result = [1] !== [1];"));  // identity
 }
 
-TEST(Interp, LogicalShortCircuitReturnsOperand) {
+TEST(VmLanguage, LogicalShortCircuitReturnsOperand) {
   EXPECT_DOUBLE_EQ(Num("var result = 0 || 7;"), 7);
   EXPECT_DOUBLE_EQ(Num("var result = 3 && 9;"), 9);
   EXPECT_DOUBLE_EQ(Num(R"(
@@ -72,11 +78,11 @@ TEST(Interp, LogicalShortCircuitReturnsOperand) {
                    0);
 }
 
-TEST(Interp, Ternary) {
+TEST(VmLanguage, Ternary) {
   EXPECT_EQ(Str("var result = 3 > 2 ? 'yes' : 'no';"), "yes");
 }
 
-TEST(Interp, CompoundAssignAndUpdate) {
+TEST(VmLanguage, CompoundAssignAndUpdate) {
   EXPECT_DOUBLE_EQ(Num("var x = 10; x += 5; x -= 3; x *= 2; var result = x;"),
                    24);
   EXPECT_DOUBLE_EQ(Num("var x = 5; var result = x++;"), 5);
@@ -85,7 +91,7 @@ TEST(Interp, CompoundAssignAndUpdate) {
   EXPECT_DOUBLE_EQ(Num("var a = [1,2,3]; a[1] += 10; var result = a[1];"), 12);
 }
 
-TEST(Interp, WhileAndForLoops) {
+TEST(VmLanguage, WhileAndForLoops) {
   EXPECT_DOUBLE_EQ(Num(R"(
     var total = 0;
     for (var i = 1; i <= 10; i++) total += i;
@@ -100,7 +106,7 @@ TEST(Interp, WhileAndForLoops) {
                    105);
 }
 
-TEST(Interp, BreakAndContinue) {
+TEST(VmLanguage, BreakAndContinue) {
   EXPECT_DOUBLE_EQ(Num(R"(
     var total = 0;
     for (var i = 0; i < 10; i++) {
@@ -113,7 +119,7 @@ TEST(Interp, BreakAndContinue) {
                    12);
 }
 
-TEST(Interp, ForInIteratesKeysInOrder) {
+TEST(VmLanguage, ForInIteratesKeysInOrder) {
   EXPECT_EQ(Str(R"(
     var o = { z: 1, a: 2, m: 3 };
     var keys = "";
@@ -123,7 +129,7 @@ TEST(Interp, ForInIteratesKeysInOrder) {
             "zam");
 }
 
-TEST(Interp, FunctionsAndRecursion) {
+TEST(VmLanguage, FunctionsAndRecursion) {
   EXPECT_DOUBLE_EQ(Num(R"(
     function fib(n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
     var result = fib(15);
@@ -131,7 +137,7 @@ TEST(Interp, FunctionsAndRecursion) {
                    610);
 }
 
-TEST(Interp, ClosuresCaptureEnvironment) {
+TEST(VmLanguage, ClosuresCaptureEnvironment) {
   EXPECT_DOUBLE_EQ(Num(R"(
     function make_counter() {
       var count = 0;
@@ -145,19 +151,19 @@ TEST(Interp, ClosuresCaptureEnvironment) {
                    32);
 }
 
-TEST(Interp, FunctionsHoisted) {
+TEST(VmLanguage, FunctionsHoisted) {
   EXPECT_DOUBLE_EQ(Num("var result = later(); function later() { return 9; }"),
                    9);
 }
 
-TEST(Interp, MissingArgsAreUndefined) {
+TEST(VmLanguage, MissingArgsAreUndefined) {
   EXPECT_TRUE(Boolean(R"(
     function f(a, b) { return b == undefined; }
     var result = f(1);
   )"));
 }
 
-TEST(Interp, ObjectsAndArrays) {
+TEST(VmLanguage, ObjectsAndArrays) {
   EXPECT_DOUBLE_EQ(Num(R"(
     var o = { a: { b: [10, 20, 30] } };
     o.a.c = 5;
@@ -168,7 +174,7 @@ TEST(Interp, ObjectsAndArrays) {
   EXPECT_TRUE(Boolean("var a = [1,2]; var result = a[9] == undefined;"));
 }
 
-TEST(Interp, TypeofQuirksPreserved) {
+TEST(VmLanguage, TypeofQuirksPreserved) {
   EXPECT_EQ(Str("var result = typeof 1;"), "number");
   EXPECT_EQ(Str("var result = typeof 'x';"), "string");
   EXPECT_EQ(Str("var result = typeof undefined;"), "undefined");
@@ -177,9 +183,9 @@ TEST(Interp, TypeofQuirksPreserved) {
   EXPECT_EQ(Str("var result = typeof function(){};"), "function");
 }
 
-// ------------------------------------------------------------- stdlib
+// ------------------------------------------------------------ stdlib
 
-TEST(Stdlib, MathFunctions) {
+TEST(VmStdlib, MathFunctions) {
   EXPECT_DOUBLE_EQ(Num("var result = Math.floor(3.7);"), 3);
   EXPECT_DOUBLE_EQ(Num("var result = Math.max(1, 9, 4);"), 9);
   EXPECT_DOUBLE_EQ(Num("var result = Math.min(1, 9, -4);"), -4);
@@ -190,7 +196,7 @@ TEST(Stdlib, MathFunctions) {
   EXPECT_NEAR(Num("var result = Math.PI;"), 3.14159265, 1e-6);
 }
 
-TEST(Stdlib, MathRandomDeterministicPerSeed) {
+TEST(VmStdlib, MathRandomDeterministicPerSeed) {
   ContextOptions a;
   a.random_seed = 5;
   ContextOptions b;
@@ -203,7 +209,7 @@ TEST(Stdlib, MathRandomDeterministicPerSeed) {
   EXPECT_LT(va->AsNumber(), 1.0);
 }
 
-TEST(Stdlib, StringMethods) {
+TEST(VmStdlib, StringMethods) {
   EXPECT_DOUBLE_EQ(Num("var result = 'hello'.length;"), 5);
   EXPECT_EQ(Str("var result = 'hello'.substring(1, 3);"), "el");
   EXPECT_EQ(Str("var result = 'hello'.slice(-3);"), "llo");
@@ -219,7 +225,7 @@ TEST(Stdlib, StringMethods) {
   EXPECT_EQ(Str("var result = 'abc'[2];"), "c");
 }
 
-TEST(Stdlib, ArrayMethods) {
+TEST(VmStdlib, ArrayMethods) {
   EXPECT_DOUBLE_EQ(Num("var a = [1]; a.push(2, 3); var result = a.length;"),
                    3);
   EXPECT_DOUBLE_EQ(Num("var a = [1, 2]; var result = a.pop() + a.length;"), 3);
@@ -246,27 +252,27 @@ TEST(Stdlib, ArrayMethods) {
                    8);
 }
 
-TEST(Stdlib, JsonStringifyParse) {
+TEST(VmStdlib, JsonStringifyParse) {
   EXPECT_EQ(Str("var result = JSON.stringify({ a: [1, 'x', true, null] });"),
             R"({"a":[1,"x",true,null]})");
   EXPECT_DOUBLE_EQ(Num("var result = JSON.parse('{\"n\": 41}').n + 1;"), 42);
   EXPECT_FALSE(Eval("var result = JSON.parse('{bad');").ok());
 }
 
-TEST(Stdlib, ObjectKeysAndArrayIsArray) {
+TEST(VmStdlib, ObjectKeysAndArrayIsArray) {
   EXPECT_EQ(Str("var result = Object.keys({x: 1, y: 2}).join(',');"), "x,y");
   EXPECT_TRUE(Boolean("var result = Array.isArray([]);"));
   EXPECT_FALSE(Boolean("var result = Array.isArray({});"));
 }
 
-TEST(Stdlib, ConversionHelpers) {
+TEST(VmStdlib, ConversionHelpers) {
   EXPECT_EQ(Str("var result = String(12.5);"), "12.5");
   EXPECT_DOUBLE_EQ(Num("var result = Number('3.5');"), 3.5);
   EXPECT_DOUBLE_EQ(Num("var result = parseInt(9.99);"), 9);
   EXPECT_TRUE(Boolean("var result = isNaN(Number('abc'));"));
 }
 
-TEST(Stdlib, ConsoleLogGoesToPrintHandler) {
+TEST(VmStdlib, ConsoleLogGoesToPrintHandler) {
   Context context;
   std::vector<std::string> lines;
   context.interpreter().set_print_handler(
@@ -278,7 +284,7 @@ TEST(Stdlib, ConsoleLogGoesToPrintHandler) {
 
 // ------------------------------------------------------------- guards
 
-TEST(Guards, StepBudgetStopsInfiniteLoop) {
+TEST(VmGuards, StepBudgetStopsInfiniteLoop) {
   ContextOptions options;
   options.limits.max_steps = 10000;
   Context context(options);
@@ -287,7 +293,7 @@ TEST(Guards, StepBudgetStopsInfiniteLoop) {
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
 }
 
-TEST(Guards, BudgetResetsPerCall) {
+TEST(VmGuards, BudgetResetsPerCall) {
   ContextOptions options;
   options.limits.max_steps = 50000;
   Context context(options);
@@ -302,7 +308,7 @@ TEST(Guards, BudgetResetsPerCall) {
   }
 }
 
-TEST(Guards, CallDepthLimit) {
+TEST(VmGuards, CallDepthLimit) {
   ContextOptions options;
   options.limits.max_call_depth = 32;
   Context context(options);
@@ -312,7 +318,7 @@ TEST(Guards, CallDepthLimit) {
   EXPECT_EQ(result.error().code(), StatusCode::kScriptError);
 }
 
-TEST(Guards, RuntimeErrors) {
+TEST(VmGuards, RuntimeErrors) {
   EXPECT_FALSE(Eval("var result = undefined_name;").ok());
   EXPECT_FALSE(Eval("var x = null; var result = x.field;").ok());
   EXPECT_FALSE(Eval("var result = (3)(4);").ok());  // calling a number
@@ -320,7 +326,7 @@ TEST(Guards, RuntimeErrors) {
   EXPECT_FALSE(Eval("unbound = 3;").ok());  // no implicit globals
 }
 
-TEST(Guards, ErrorsIncludeLineNumbers) {
+TEST(VmGuards, ErrorsIncludeLineNumbers) {
   auto result = Eval("var a = 1;\nvar b = missing;\n");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().message().find("script:2"), std::string::npos);
@@ -328,7 +334,7 @@ TEST(Guards, ErrorsIncludeLineNumbers) {
 
 // ------------------------------------------------------------- context
 
-TEST(Context, HostFunctionsCallable) {
+TEST(VmContext, HostFunctionsCallable) {
   Context context;
   double received = 0;
   context.RegisterHostFunction(
@@ -341,7 +347,7 @@ TEST(Context, HostFunctionsCallable) {
   EXPECT_DOUBLE_EQ(context.GetGlobal("doubled").AsNumber(), 42);
 }
 
-TEST(Context, CallsNamedFunctionsWithArgs) {
+TEST(VmContext, CallsNamedFunctionsWithArgs) {
   Context context;
   ASSERT_TRUE(context.Load("function add(a, b) { return a + b; }").ok());
   EXPECT_TRUE(context.HasFunction("add"));
@@ -352,7 +358,7 @@ TEST(Context, CallsNamedFunctionsWithArgs) {
   EXPECT_EQ(context.Call("sub", {}).code(), StatusCode::kNotFound);
 }
 
-TEST(Context, StatePersistsAcrossCalls) {
+TEST(VmContext, StatePersistsAcrossCalls) {
   Context context;
   ASSERT_TRUE(context
                   .Load("var count = 0;\n"
@@ -363,7 +369,7 @@ TEST(Context, StatePersistsAcrossCalls) {
   EXPECT_DOUBLE_EQ(context.GetGlobal("count").AsNumber(), 2);
 }
 
-TEST(Context, IsolationBetweenContexts) {
+TEST(VmContext, IsolationBetweenContexts) {
   Context a;
   Context b;
   ASSERT_TRUE(a.Load("var shared = 'A';").ok());
@@ -374,7 +380,7 @@ TEST(Context, IsolationBetweenContexts) {
 
 // ------------------------------------------------------------- convert
 
-TEST(Convert, JsonToScriptToJsonRoundTrip) {
+TEST(VmConvert, JsonToScriptToJsonRoundTrip) {
   const char* docs[] = {
       R"({"a":1,"b":[true,null,"x"],"c":{"d":2.5}})",
       "[]",
@@ -391,13 +397,13 @@ TEST(Convert, JsonToScriptToJsonRoundTrip) {
   }
 }
 
-TEST(Convert, FunctionsAreNotSerializable) {
+TEST(VmConvert, FunctionsAreNotSerializable) {
   Context context;
   ASSERT_TRUE(context.Load("var f = function () {};").ok());
   EXPECT_FALSE(ScriptToJson(context.GetGlobal("f")).ok());
 }
 
-TEST(Convert, UndefinedBecomesNull) {
+TEST(VmConvert, UndefinedBecomesNull) {
   auto v = ScriptToJson(Value::Undefined());
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
