@@ -26,8 +26,16 @@ class Parser {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return Fail(Format("nesting deeper than %d levels", kMaxDepth));
+        }
+        ++depth_;
+        auto v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.error();
@@ -235,6 +243,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays and objects
 };
 
 }  // namespace

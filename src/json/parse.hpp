@@ -9,7 +9,12 @@
 
 namespace vp::json {
 
-/// Parse a complete JSON document. Errors carry line/column context.
+/// Arrays and objects nest at most this deep. The parser recurses once
+/// per level, so the limit bounds its stack use on hostile input.
+inline constexpr int kMaxDepth = 512;
+
+/// Parse a complete JSON document. Errors carry line/column context;
+/// nesting deeper than kMaxDepth is one.
 Result<Value> Parse(std::string_view text);
 
 }  // namespace vp::json

@@ -1,5 +1,11 @@
 #include "script/convert.hpp"
 
+#include <algorithm>
+#include <vector>
+
+#include "common/strings.hpp"
+#include "json/parse.hpp"
+
 namespace vp::script {
 
 Value JsonToScript(const json::Value& v) {
@@ -25,7 +31,10 @@ Value JsonToScript(const json::Value& v) {
   return Value(nullptr);
 }
 
-Result<json::Value> ScriptToJson(const Value& v) {
+namespace {
+
+/// `open` holds the containers being converted, outermost first.
+Result<json::Value> ToJson(const Value& v, std::vector<const void*>& open) {
   switch (v.type()) {
     case ValueType::kUndefined:
     case ValueType::kNull:
@@ -36,29 +45,52 @@ Result<json::Value> ScriptToJson(const Value& v) {
       return json::Value(v.AsNumber());
     case ValueType::kString:
       return json::Value(v.AsString());
-    case ValueType::kArray: {
-      json::Value::Array arr;
-      arr.reserve(v.AsArray()->size());
-      for (const Value& item : *v.AsArray()) {
-        auto j = ScriptToJson(item);
-        if (!j.ok()) return j;
-        arr.push_back(std::move(*j));
-      }
-      return json::Value(std::move(arr));
-    }
-    case ValueType::kObject: {
-      json::Value::Object obj;
-      for (const auto& entry : v.AsObject()->items()) {
-        auto j = ScriptToJson(entry.value);
-        if (!j.ok()) return j;
-        obj[entry.key] = std::move(*j);
-      }
-      return json::Value(std::move(obj));
-    }
+    case ValueType::kArray:
+    case ValueType::kObject:
+      break;
     case ValueType::kHostFunction:
       return ScriptError("cannot serialize a function to JSON");
   }
-  return ScriptError("unknown value type");
+  const void* identity =
+      v.is_array() ? static_cast<const void*>(v.AsArray().get())
+                   : static_cast<const void*>(v.AsObject().get());
+  if (std::find(open.begin(), open.end(), identity) != open.end()) {
+    return ScriptError("cannot serialize a cyclic value to JSON");
+  }
+  if (open.size() == static_cast<size_t>(json::kMaxDepth)) {
+    return ScriptError(Format("cannot serialize a value nested deeper than %d "
+                              "levels to JSON",
+                              json::kMaxDepth));
+  }
+  open.push_back(identity);
+  json::Value out;
+  if (v.is_array()) {
+    json::Value::Array arr;
+    arr.reserve(v.AsArray()->size());
+    for (const Value& item : *v.AsArray()) {
+      auto j = ToJson(item, open);
+      if (!j.ok()) return j;
+      arr.push_back(std::move(*j));
+    }
+    out = json::Value(std::move(arr));
+  } else {
+    json::Value::Object obj;
+    for (const auto& entry : v.AsObject()->items()) {
+      auto j = ToJson(entry.value, open);
+      if (!j.ok()) return j;
+      obj[entry.key] = std::move(*j);
+    }
+    out = json::Value(std::move(obj));
+  }
+  open.pop_back();
+  return out;
+}
+
+}  // namespace
+
+Result<json::Value> ScriptToJson(const Value& v) {
+  std::vector<const void*> open;
+  return ToJson(v, open);
 }
 
 }  // namespace vp::script

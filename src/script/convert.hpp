@@ -15,8 +15,9 @@ namespace vp::script {
 /// JSON → script (total).
 Value JsonToScript(const json::Value& v);
 
-/// Script → JSON. Functions and undefined inside containers are
-/// rejected (kScriptError) — they cannot travel over the wire.
+/// Script → JSON. Functions, values that contain themselves and values
+/// nested deeper than json::kMaxDepth are rejected (kScriptError): they
+/// cannot travel over the wire.
 Result<json::Value> ScriptToJson(const Value& v);
 
 }  // namespace vp::script

@@ -1,10 +1,13 @@
 #include "script/value.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/log.hpp"
+#include "json/parse.hpp"
 #include "script/ast.hpp"
 
 namespace vp::script {
@@ -120,6 +123,49 @@ std::string NumberToString(double d) {
   return buf;
 }
 
+namespace {
+
+/// `open` holds the containers being displayed, outermost first. One
+/// reached again shows as "[Circular]"; nesting past json::kMaxDepth
+/// shows as "[...]", so display cannot exhaust the stack.
+std::string Display(const Value& v, std::vector<const void*>& open) {
+  if (!v.is_object() && !v.is_array()) return v.ToDisplayString();
+  const void* identity =
+      v.is_array() ? static_cast<const void*>(v.AsArray().get())
+                   : static_cast<const void*>(v.AsObject().get());
+  if (std::find(open.begin(), open.end(), identity) != open.end()) {
+    return "[Circular]";
+  }
+  if (open.size() == static_cast<size_t>(json::kMaxDepth)) return "[...]";
+  open.push_back(identity);
+  const auto item = [&open](const Value& x) {
+    return x.is_string() ? "\"" + x.AsString() + "\"" : Display(x, open);
+  };
+  std::string out;
+  bool first = true;
+  if (v.is_object()) {
+    out = "{";
+    for (const auto& e : v.AsObject()->items()) {
+      if (!first) out += ", ";
+      first = false;
+      out += e.key + ": " + item(e.value);
+    }
+    out += "}";
+  } else {
+    out = "[";
+    for (const auto& x : *v.AsArray()) {
+      if (!first) out += ", ";
+      first = false;
+      out += item(x);
+    }
+    out += "]";
+  }
+  open.pop_back();
+  return out;
+}
+
+}  // namespace
+
 std::string Value::ToDisplayString() const {
   switch (type()) {
     case ValueType::kUndefined: return "undefined";
@@ -127,28 +173,10 @@ std::string Value::ToDisplayString() const {
     case ValueType::kBool: return AsBool() ? "true" : "false";
     case ValueType::kNumber: return NumberToString(AsNumber());
     case ValueType::kString: return AsString();
-    case ValueType::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& e : AsObject()->items()) {
-        if (!first) out += ", ";
-        first = false;
-        out += e.key + ": " +
-               (e.value.is_string() ? "\"" + e.value.AsString() + "\""
-                                    : e.value.ToDisplayString());
-      }
-      return out + "}";
-    }
+    case ValueType::kObject:
     case ValueType::kArray: {
-      std::string out = "[";
-      bool first = true;
-      for (const auto& v : *AsArray()) {
-        if (!first) out += ", ";
-        first = false;
-        out += v.is_string() ? "\"" + v.AsString() + "\""
-                             : v.ToDisplayString();
-      }
-      return out + "]";
+      std::vector<const void*> open;
+      return Display(*this, open);
     }
     case ValueType::kHostFunction:
       return "function " + AsHostFunction()->name + "() { [native] }";

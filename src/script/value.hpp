@@ -173,6 +173,7 @@ class ScriptObject {
   void Set(const std::string& key, Value v);
   void SetInterned(uint32_t key_id, const std::string& key, Value v);
   bool Erase(const std::string& key);
+  void Clear() { items_.clear(); }
   size_t size() const { return items_.size(); }
   const std::vector<Entry>& items() const { return items_; }
 

@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "common/strings.hpp"
+#include "json/parse.hpp"
 #include "script/convert.hpp"
 #include "script/stdlib.hpp"
 
@@ -28,6 +29,16 @@
 #endif
 
 namespace vp::script {
+
+namespace {
+
+Error TooDeepError() {
+  return ScriptError(Format("cannot pass a value nested deeper than %d "
+                            "levels to the host",
+                            json::kMaxDepth));
+}
+
+}  // namespace
 
 // ----------------------------------------------------- GcObject lookup
 // Exact mirror of ScriptObject (value.cpp): insertion order, id upgrade
@@ -435,38 +446,54 @@ bool Vm::LooseEquals(VpValue a, VpValue b) {
 const char* Vm::TypeName(VpValue v) { return ValueTypeName(VmValueType(v)); }
 
 std::string Vm::ToDisplayString(VpValue v) const {
+  std::vector<const GcObj*> open;
+  return Display(v, open);
+}
+
+std::string Vm::Display(VpValue v, std::vector<const GcObj*>& open) const {
   if (v.is_number()) return NumberToString(v.AsNumber());
   if (v.is_undefined() || v.is_empty()) return "undefined";
   if (v.is_null()) return "null";
   if (v.is_bool()) return v.AsBool() ? "true" : "false";
   GcObj* obj = v.AsHeap();
+  if (obj->type == GcType::kObject || obj->type == GcType::kArray) {
+    // As Value::ToDisplayString: cycles and nesting past the JSON
+    // limit are cut off rather than recursed into.
+    if (std::find(open.begin(), open.end(), obj) != open.end()) {
+      return "[Circular]";
+    }
+    if (open.size() == static_cast<size_t>(json::kMaxDepth)) return "[...]";
+  }
+  const auto item = [this, &open](VpValue x) {
+    return x.IsHeapType(GcType::kString)
+               ? "\"" + static_cast<GcString*>(x.AsHeap())->text + "\""
+               : Display(x, open);
+  };
   switch (obj->type) {
     case GcType::kString:
       return static_cast<GcString*>(obj)->text;
     case GcType::kObject: {
+      open.push_back(obj);
       std::string out = "{";
       bool first = true;
       for (const auto& e : static_cast<GcObject*>(obj)->items) {
         if (!first) out += ", ";
         first = false;
-        out += e.key + ": " +
-               (e.value.IsHeapType(GcType::kString)
-                    ? "\"" + static_cast<GcString*>(e.value.AsHeap())->text +
-                          "\""
-                    : ToDisplayString(e.value));
+        out += e.key + ": " + item(e.value);
       }
+      open.pop_back();
       return out + "}";
     }
     case GcType::kArray: {
+      open.push_back(obj);
       std::string out = "[";
       bool first = true;
-      for (VpValue item : static_cast<GcArray*>(obj)->items) {
+      for (VpValue x : static_cast<GcArray*>(obj)->items) {
         if (!first) out += ", ";
         first = false;
-        out += item.IsHeapType(GcType::kString)
-                   ? "\"" + static_cast<GcString*>(item.AsHeap())->text + "\""
-                   : ToDisplayString(item);
+        out += item(x);
       }
+      open.pop_back();
       return out + "]";
     }
     case GcType::kClosure:
@@ -643,14 +670,18 @@ Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
   (void)line;
   std::vector<Value> boxed;
   boxed.reserve(static_cast<size_t>(argc));
-  std::unordered_map<const GcObj*, Value> memo;  // arg-sharing per call
+  ExportMemo memo;  // arg-sharing per call
   for (int i = 0; i < argc; ++i) {
     boxed.push_back(ExportValueRec(args[i], memo));
   }
+  if (memo.too_deep) {
+    memo.BreakCycles();
+    return Status(TooDeepError());
+  }
   auto r = host->host->fn(boxed, *interp_);
-  if (!r.ok()) return r.status();
-  *out = BoxedToVm(*r);
-  return Status::Ok();
+  if (r.ok()) *out = BoxedToVm(*r);
+  memo.BreakCycles();
+  return r.ok() ? Status::Ok() : r.status();
 }
 
 // ------------------------------------------------- native array methods
@@ -1696,7 +1727,8 @@ Value Vm::GetGlobalBoxed(const std::string& name) {
   if (it == global_index_.end()) return Value::Undefined();
   const VpValue v = globals_[it->second].value;
   if (v.is_empty()) return Value::Undefined();
-  return VmToBoxed(v);
+  auto boxed = VmToBoxed(v);
+  return boxed.ok() ? *boxed : Value::Undefined();
 }
 
 Result<Value> Vm::CallGlobal(const std::string& name,
@@ -1751,8 +1783,11 @@ json::Value Vm::SnapshotState() {
   for (const GlobalSlotData& g : globals_) {
     if (g.baseline || g.value.is_empty() || g.value.is_undefined()) continue;
     if (IsCallable(g.value)) continue;
-    auto j = ScriptToJson(VmToBoxed(g.value));
-    if (!j.ok()) continue;  // non-serializable state is skipped
+    ExportMemo memo;
+    auto j = ScriptToJson(ExportValueRec(g.value, memo));
+    memo.BreakCycles();
+    // Non-serializable state (cyclic or too deep too) is skipped.
+    if (memo.too_deep || !j.ok()) continue;
     snapshot[g.name] = std::move(*j);
   }
   return snapshot;
@@ -1796,9 +1831,14 @@ VpValue Vm::BoxedToVm(const Value& v) {
   return ImportValueRec(v);
 }
 
-Value Vm::VmToBoxed(VpValue v) {
-  std::unordered_map<const GcObj*, Value> memo;
-  return ExportValueRec(v, memo);
+Result<Value> Vm::VmToBoxed(VpValue v) {
+  ExportMemo memo;
+  Value boxed = ExportValueRec(v, memo);
+  if (memo.too_deep) {
+    memo.BreakCycles();
+    return TooDeepError();
+  }
+  return boxed;
 }
 
 VpValue Vm::ImportValueRec(const Value& v) {
@@ -1844,31 +1884,55 @@ VpValue Vm::ImportValueRec(const Value& v) {
   return VpValue::Undefined();
 }
 
-Value Vm::ExportValueRec(VpValue v,
-                         std::unordered_map<const GcObj*, Value>& memo) {
+void Vm::ExportMemo::BreakCycles() {
+  if (!cyclic) return;
+  for (auto& [obj, value] : values) {
+    if (value.is_array()) {
+      value.AsArray()->clear();
+    } else if (value.is_object()) {
+      value.AsObject()->Clear();
+    }
+  }
+}
+
+Value Vm::ExportValueRec(VpValue v, ExportMemo& memo) {
   if (v.is_number()) return Value(v.AsNumber());
   if (v.is_undefined() || v.is_empty()) return Value::Undefined();
   if (v.is_null()) return Value(nullptr);
   if (v.is_bool()) return Value(v.AsBool());
   GcObj* obj = v.AsHeap();
-  auto it = memo.find(obj);
-  if (it != memo.end()) return it->second;
+  auto it = memo.values.find(obj);
+  if (it != memo.values.end()) {
+    if (std::find(memo.open.begin(), memo.open.end(), obj) !=
+        memo.open.end()) {
+      memo.cyclic = true;
+    }
+    return it->second;
+  }
+  if ((obj->type == GcType::kArray || obj->type == GcType::kObject) &&
+      memo.open.size() == static_cast<size_t>(json::kMaxDepth)) {
+    memo.too_deep = true;
+    return Value::Undefined();
+  }
   switch (obj->type) {
     case GcType::kString:
       return Value(static_cast<GcString*>(obj)->text);
     case GcType::kArray: {
       auto out = std::make_shared<ScriptArray>();
       Value result(out);
-      memo.emplace(obj, result);
+      memo.values.emplace(obj, result);
+      memo.open.push_back(obj);
       for (VpValue item : static_cast<GcArray*>(obj)->items) {
         out->push_back(ExportValueRec(item, memo));
       }
+      memo.open.pop_back();
       return result;
     }
     case GcType::kObject: {
       auto out = std::make_shared<ScriptObject>();
       Value result(out);
-      memo.emplace(obj, result);
+      memo.values.emplace(obj, result);
+      memo.open.push_back(obj);
       for (const auto& e : static_cast<GcObject*>(obj)->items) {
         if (e.key_id != kNoNameId) {
           out->SetInterned(e.key_id, e.key, ExportValueRec(e.value, memo));
@@ -1876,6 +1940,7 @@ Value Vm::ExportValueRec(VpValue v,
           out->Set(e.key, ExportValueRec(e.value, memo));
         }
       }
+      memo.open.pop_back();
       return result;
     }
     case GcType::kClosure:
@@ -1900,11 +1965,10 @@ Value Vm::ExportValueRec(VpValue v,
         auto r = vm->CallValue(callee, vm_args.data(),
                                static_cast<int>(vm_args.size()), 0);
         if (!r.ok()) return r.error();
-        std::unordered_map<const GcObj*, Value> export_memo;
-        return vm->ExportValueRec(*r, export_memo);
+        return vm->VmToBoxed(*r);
       };
       Value result(std::move(host));
-      memo.emplace(obj, result);
+      memo.values.emplace(obj, result);
       return result;
     }
     case GcType::kHostFn:

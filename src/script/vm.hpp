@@ -345,9 +345,11 @@ class Vm {
   static bool LooseEquals(VpValue a, VpValue b);
   static const char* TypeName(VpValue v);
 
-  /// Deep conversions across the host boundary (cycle-safe).
+  /// Deep conversions across the host boundary (cycle-safe). A value
+  /// nested deeper than json::kMaxDepth does not leave the VM: the
+  /// export fails with kScriptError.
   VpValue BoxedToVm(const Value& v);
-  Value VmToBoxed(VpValue v);
+  Result<Value> VmToBoxed(VpValue v);
 
  private:
   struct Frame {
@@ -404,9 +406,23 @@ class Vm {
   Status CallNonClosure(VpValue callee, int argc, int line);
   Result<VpValue> GetPropertyVm(VpValue obj, const GcString* name, int line);
 
+  /// One export to the host. A container shared within it converts
+  /// once; one reached again while its own conversion is still open
+  /// closes a cycle of shared_ptrs, which nothing would ever free.
+  struct ExportMemo {
+    std::unordered_map<const GcObj*, Value> values;
+    std::vector<const GcObj*> open;  // containers being converted
+    bool cyclic = false;
+    bool too_deep = false;  // a container past json::kMaxDepth was cut
+    /// If the export closed a cycle, empties every container it made,
+    /// freeing the cycle. Only for an export the host is done with.
+    void BreakCycles();
+  };
+
   VpValue ImportValueRec(const Value& v);
-  Value ExportValueRec(VpValue v,
-                       std::unordered_map<const GcObj*, Value>& memo);
+  Value ExportValueRec(VpValue v, ExportMemo& memo);
+  /// ToDisplayString with the containers being displayed in `open`.
+  std::string Display(VpValue v, std::vector<const GcObj*>& open) const;
 
   void Push(VpValue v) { stack_[sp_++] = v; }
   VpValue Pop() { return stack_[--sp_]; }

@@ -302,6 +302,39 @@ TEST(Runtime, UndeclaredModuleEdgeIsRejected) {
   EXPECT_EQ((*deployment)->FindModule("b_module")->stats().events, 0u);
 }
 
+TEST(Runtime, CyclicPayloadsAreScriptErrorsNotCrashes) {
+  // call_service, call_module and set_timer serialize their payload; a
+  // payload that contains itself used to overflow the stack there.
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  auto spec = ParsePipelineConfigText(R"CFG({
+    "name": "loopy",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["a_module"] },
+      { "name": "a_module", "signal_source": true,
+        "service": ["pose_detector"], "next_module": ["b_module"],
+        "code": "var n = 0; function event_received(m) { n = n + 1; var o = { frame_id: m.frame_id }; o.self = o; var l = [m.frame_id]; l.push(l); if (n % 3 == 0) { call_service('pose_detector', o); } else if (n % 3 == 1) { call_module('b_module', l); } else { set_timer(1, o); } }" },
+      { "name": "b_module",
+        "code": "function event_received(m) {}" }
+    ]
+  })CFG",
+                                      MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.error().ToString();
+  (*deployment)->Start();
+  orchestrator.RunFor(Duration::Seconds(2));
+  const auto& a = (*deployment)->FindModule("a_module")->stats();
+  EXPECT_GT(a.events, 5u);
+  EXPECT_EQ(a.script_errors, a.events);
+  EXPECT_EQ(a.service_calls, 0u);
+  EXPECT_EQ(a.module_sends, 0u);
+  EXPECT_EQ((*deployment)->FindModule("b_module")->stats().events, 0u);
+}
+
 TEST(Runtime, MetricsTracesAreInternallyConsistent) {
   Deployed d = DeployFitness(PlacementPolicy::kCoLocate, 10.0,
                              Duration::Seconds(10));

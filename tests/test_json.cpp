@@ -1,6 +1,10 @@
 // Tests for the JSON document model, parser and writer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "json/parse.hpp"
 #include "json/value.hpp"
 #include "json/write.hpp"
@@ -150,6 +154,45 @@ TEST(JsonParse, DeepNesting) {
   for (int i = 0; i < 100; ++i) text += "]";
   auto v = Parse(text);
   ASSERT_TRUE(v.ok());
+}
+
+std::string Nested(int depth, const std::string& open,
+                   const std::string& close) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += open;
+  text += "1";
+  for (int i = 0; i < depth; ++i) text += close;
+  return text;
+}
+
+TEST(JsonParse, NestingLimitIsInclusive) {
+  EXPECT_TRUE(Parse(Nested(kMaxDepth, "[", "]")).ok());
+  EXPECT_TRUE(Parse(Nested(kMaxDepth, "{\"k\":", "}")).ok());
+  EXPECT_TRUE(Parse(Nested(kMaxDepth / 2, "[{\"k\":", "}]")).ok());
+}
+
+TEST(JsonParse, NestingPastTheLimitIsAParseErrorWithPosition) {
+  for (const auto& [open, close] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"[", "]"}, {"{\"k\":", "}"}}) {
+    auto v = Parse(Nested(kMaxDepth + 1, open, close));
+    ASSERT_FALSE(v.ok()) << open;
+    EXPECT_EQ(v.error().code(), StatusCode::kParseError);
+    // The innermost opener sits at column 1 + kMaxDepth · |open|.
+    EXPECT_NE(v.error().message().find(
+                  "json:1:" + std::to_string(1 + kMaxDepth * open.size()) +
+                  ": nesting deeper than " + std::to_string(kMaxDepth) +
+                  " levels"),
+              std::string::npos)
+        << v.error().message();
+  }
+}
+
+TEST(JsonParse, HostileNestingFailsInsteadOfOverflowingTheStack) {
+  // 100k levels used to recurse until the stack overflowed.
+  EXPECT_FALSE(Parse(std::string(100000, '[')).ok());
+  EXPECT_FALSE(Parse(Nested(100000, "[", "]")).ok());
+  EXPECT_FALSE(Parse(Nested(100000, "{\"a\":", "}")).ok());
 }
 
 // ---------------------------------------------------------------- Write

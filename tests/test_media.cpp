@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -369,16 +370,67 @@ std::vector<uint8_t> ScriptedReference(std::vector<uint8_t> data,
   return data;
 }
 
-// Runs the kernel on `data` over the scripted stream; returns the
-// number of exact-path pairs and checks every draw was consumed.
-size_t ScriptedNoise(std::vector<uint8_t>& data, double noise_stddev,
-                     const std::vector<uint64_t>& draws) {
-  size_t next = 0;
-  const size_t exact = AddSensorNoise(data, noise_stddev,
-                                      [&] { return draws.at(next++); });
-  EXPECT_EQ(next, draws.size());
-  return exact;
+// The kernel under test: the dispatched one behind the public API, or
+// one clone of passes 2–4 called explicitly.
+enum class Kernel { kDispatched, kBaseline, kAvx2 };
+
+std::string KernelName(const testing::TestParamInfo<Kernel>& info) {
+  switch (info.param) {
+    case Kernel::kDispatched:
+      return "Dispatched";
+    case Kernel::kBaseline:
+      return "Baseline";
+    case Kernel::kAvx2:
+      return "Avx2";
+  }
+  return "";
 }
+
+class SensorNoise : public testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kAvx2 && !noise_detail::CpuHasAvx2Fma()) {
+      GTEST_SKIP() << "the CPU lacks AVX2/FMA";
+    }
+  }
+
+  noise_detail::BlockFn Block() const {
+    switch (GetParam()) {
+      case Kernel::kBaseline:
+        return noise_detail::BlockBaseline;
+      case Kernel::kAvx2:
+        return noise_detail::BlockAvx2;
+      case Kernel::kDispatched:
+        break;
+    }
+    return noise_detail::DispatchedBlock();
+  }
+
+  size_t Noise(std::vector<uint8_t>& data, double noise_stddev,
+               Rng& rng) const {
+    if (GetParam() == Kernel::kDispatched) {
+      return AddSensorNoise(data, noise_stddev, rng);
+    }
+    return noise_detail::AddSensorNoiseWith(Block(), data, noise_stddev,
+                                            [&rng] { return rng.NextU64(); });
+  }
+
+  // Runs the kernel on `data` over the scripted stream; returns the
+  // number of exact-path pairs and checks every draw was consumed.
+  size_t ScriptedNoise(std::vector<uint8_t>& data, double noise_stddev,
+                       const std::vector<uint64_t>& draws) const {
+    size_t next = 0;
+    const size_t exact = noise_detail::AddSensorNoiseWith(
+        Block(), data, noise_stddev, [&] { return draws.at(next++); });
+    EXPECT_EQ(next, draws.size());
+    return exact;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, SensorNoise,
+                         testing::Values(Kernel::kDispatched,
+                                         Kernel::kBaseline, Kernel::kAvx2),
+                         KernelName);
 
 uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -389,7 +441,7 @@ uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   return h;
 }
 
-TEST(SensorNoise, MatchesPerChannelLoopAcrossSeedsSizesAndColours) {
+TEST_P(SensorNoise, MatchesPerChannelLoopAcrossSeedsSizesAndColours) {
   const std::vector<std::pair<int, int>> sizes = {{7, 5}, {33, 1}, {160, 120}};
   size_t pairs = 0;
   size_t exact_pairs = 0;
@@ -403,10 +455,11 @@ TEST(SensorNoise, MatchesPerChannelLoopAcrossSeedsSizesAndColours) {
           Rng reference_rng(seed);
           Rng rng(seed);
           ReferenceNoise(expected, sd, reference_rng);
-          const size_t exact = AddSensorNoise(actual, sd, rng);
+          const size_t exact = Noise(actual, sd, rng);
           ASSERT_EQ(actual, expected)
               << "seed " << seed << " " << w << "x" << h << " sd " << sd
               << " base " << int{base};
+          ASSERT_EQ(rng.NextU64(), reference_rng.NextU64());
           if (sd > 0) {
             pairs += (actual.size() + 1) / 2;
             exact_pairs += exact;
@@ -415,13 +468,13 @@ TEST(SensorNoise, MatchesPerChannelLoopAcrossSeedsSizesAndColours) {
       }
     }
   }
-  // The tables carry almost every pair; the exact path is the rare
-  // band-edge fallback (plus the odd-length tails).
+  // The transform carries almost every pair; the exact path is the
+  // rare band-edge fallback (plus the odd-length tails).
   EXPECT_LT(static_cast<double>(exact_pairs),
             0.01 * static_cast<double>(pairs));
 }
 
-TEST(SensorNoise, MatchesPerChannelLoopOnARenderedScene) {
+TEST_P(SensorNoise, MatchesPerChannelLoopOnARenderedScene) {
   // Bones, joint colours and props: the byte values a real frame holds.
   SceneOptions scene;
   scene.width = 320;
@@ -436,13 +489,13 @@ TEST(SensorNoise, MatchesPerChannelLoopOnARenderedScene) {
       Rng reference_rng(seed);
       Rng rng(seed);
       ReferenceNoise(expected, sd, reference_rng);
-      AddSensorNoise(actual, sd, rng);
+      Noise(actual, sd, rng);
       ASSERT_EQ(actual, expected) << "sd " << sd << " seed " << seed;
     }
   }
 }
 
-TEST(SensorNoise, InjectedDrawsRejectZeroU1) {
+TEST_P(SensorNoise, InjectedDrawsRejectZeroU1) {
   // Draws whose top 53 bits are zero make u1 = 0; NextGaussian skips
   // them, and so must the kernel, for pairs and for the odd tail.
   const uint64_t kZeroU1 = 0x7FF;  // low 11 bits only
@@ -456,54 +509,116 @@ TEST(SensorNoise, InjectedDrawsRejectZeroU1) {
   EXPECT_EQ(actual, ScriptedReference(base, 3.0, draws));
 }
 
-TEST(SensorNoise, InjectedDrawsAtTheBandEdgeTakeTheExactPath) {
-  using noise_detail::FastPair;
-  using noise_detail::GetTables;
+TEST_P(SensorNoise, InjectedDrawsAtTheBandEdgeTakeTheExactPath) {
   const uint64_t a = 0x9E3779B97F4A7C15ULL;
+  // One pair through passes 2–4 alone: returns its exact-path count
+  // and leaves the pair's bytes in px.
+  const auto block = [this](uint64_t u1, uint64_t u2, double sd,
+                            uint8_t* px) {
+    return Block()(&u1, &u2, 1, sd, px);
+  };
   // b = 0 makes θ = 0: the exact sin half is exactly 0, so y = c lies on
-  // an integer, where the table's sin (cos 3π/2, about -1.8e-16) would
+  // an integer, where any approximate sin of the wrong sign would
   // truncate c = 1 to 0.
   {
-    uint8_t px[2] = {100, 1};
-    EXPECT_FALSE(FastPair(GetTables(), a, 0, 3.0, px));
-    EXPECT_EQ(px[0], 100);
-    EXPECT_EQ(px[1], 1);
     const std::vector<uint8_t> base = {100, 1};
+    const std::vector<uint8_t> expected = ScriptedReference(base, 3.0, {a, 0});
+    std::vector<uint8_t> px = base;
+    EXPECT_EQ(block(a, 0, 3.0, px.data()), 1u);
+    EXPECT_EQ(px, expected);
     std::vector<uint8_t> actual = base;
     EXPECT_EQ(ScriptedNoise(actual, 3.0, {a, 0}), 1u);
-    EXPECT_EQ(actual, ScriptedReference(base, 3.0, {a, 0}));
+    EXPECT_EQ(actual, expected);
   }
   // A stddev that puts c + sd·r (θ = 0) within rounding of c + 2.
   {
     const double r = std::sqrt(-2.0 * std::log(Rng::UnitFromBits(a)));
     const double sd = 2.0 / r;
-    uint8_t px[2] = {100, 7};
-    EXPECT_FALSE(FastPair(GetTables(), a, 0, sd, px));
     const std::vector<uint8_t> base = {100, 7};
+    const std::vector<uint8_t> expected = ScriptedReference(base, sd, {a, 0});
+    std::vector<uint8_t> px = base;
+    EXPECT_EQ(block(a, 0, sd, px.data()), 1u);
+    EXPECT_EQ(px, expected);
     std::vector<uint8_t> actual = base;
     EXPECT_EQ(ScriptedNoise(actual, sd, {a, 0}), 1u);
-    EXPECT_EQ(actual, ScriptedReference(base, sd, {a, 0}));
+    EXPECT_EQ(actual, expected);
   }
   // u1 = 1 - 2^-53 makes r about 1.5e-8, below the certified range.
   {
-    uint8_t px[2] = {128, 128};
-    EXPECT_FALSE(FastPair(GetTables(), ~uint64_t{0}, a, 3.0, px));
     const std::vector<uint8_t> base = {128, 128};
+    const std::vector<uint8_t> expected =
+        ScriptedReference(base, 3.0, {~uint64_t{0}, a});
+    std::vector<uint8_t> px = base;
+    EXPECT_EQ(block(~uint64_t{0}, a, 3.0, px.data()), 1u);
+    EXPECT_EQ(px, expected);
     std::vector<uint8_t> actual = base;
     EXPECT_EQ(ScriptedNoise(actual, 3.0, {~uint64_t{0}, a}), 1u);
-    EXPECT_EQ(actual, ScriptedReference(base, 3.0, {~uint64_t{0}, a}));
+    EXPECT_EQ(actual, expected);
   }
-  // An ordinary pair goes through the tables.
+  // An ordinary pair is certified.
   {
     const std::vector<uint64_t> draws = {a, 0x0123456789ABCDEFULL};
     const std::vector<uint8_t> base = {24, 24};
+    const std::vector<uint8_t> expected = ScriptedReference(base, 3.0, draws);
+    std::vector<uint8_t> px = base;
+    EXPECT_EQ(block(draws[0], draws[1], 3.0, px.data()), 0u);
+    EXPECT_EQ(px, expected);
     std::vector<uint8_t> actual = base;
     EXPECT_EQ(ScriptedNoise(actual, 3.0, draws), 0u);
-    EXPECT_EQ(actual, ScriptedReference(base, 3.0, draws));
+    EXPECT_EQ(actual, expected);
   }
 }
 
-TEST(SensorNoise, NonPositiveAndHugeStddevStayExact) {
+TEST_P(SensorNoise, BandEdgePairsInTheFirstAndLastSlotOfABlock) {
+  // Three blocks, the last one partial, with the θ = 0 band-edge pair
+  // (see above) in the first and the last slot of each and ordinary
+  // pairs everywhere else.
+  using noise_detail::kBlockPairs;
+  const uint64_t a = 0x9E3779B97F4A7C15ULL;
+  const size_t pairs = 2 * kBlockPairs + 7;
+  const std::set<size_t> edges = {0,           kBlockPairs - 1,
+                                  kBlockPairs, 2 * kBlockPairs - 1,
+                                  2 * kBlockPairs, pairs - 1};
+  Rng rng(11);
+  std::vector<uint64_t> draws;
+  std::vector<uint8_t> base;
+  for (size_t i = 0; i < pairs; ++i) {
+    if (edges.count(i) != 0) {
+      draws.insert(draws.end(), {a, 0});
+      base.insert(base.end(), {100, 1});
+    } else {
+      draws.insert(draws.end(), {rng.NextU64() | (uint64_t{1} << 63),
+                                 rng.NextU64()});
+      base.insert(base.end(), {static_cast<uint8_t>(i), 128});
+    }
+  }
+  std::vector<uint8_t> actual = base;
+  EXPECT_EQ(ScriptedNoise(actual, 3.0, draws), edges.size());
+  EXPECT_EQ(actual, ScriptedReference(base, 3.0, draws));
+}
+
+TEST_P(SensorNoise, ChannelCountsOffTheBlockAndVectorWidth) {
+  using noise_detail::kBlockPairs;
+  const size_t block = 2 * kBlockPairs;
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                         size_t{6}, size_t{7}, size_t{9}, size_t{14},
+                         block - 3, block - 1, block, block + 1, block + 2,
+                         block + 5, 2 * block + 3, 3 * block - 2}) {
+    for (const double sd : {0.5, 25.0}) {
+      std::vector<uint8_t> expected(n);
+      for (size_t i = 0; i < n; ++i) expected[i] = static_cast<uint8_t>(i * 7);
+      std::vector<uint8_t> actual = expected;
+      Rng reference_rng(n);
+      Rng rng(n);
+      ReferenceNoise(expected, sd, reference_rng);
+      Noise(actual, sd, rng);
+      ASSERT_EQ(actual, expected) << n << " channels, sd " << sd;
+      ASSERT_EQ(rng.NextU64(), reference_rng.NextU64()) << n << " channels";
+    }
+  }
+}
+
+TEST_P(SensorNoise, NonPositiveAndHugeStddevStayExact) {
   for (const double sd : {-3.0, 0.0, 2e6}) {
     const Image image(9, 3, Rgb{24, 128, 250});
     std::vector<uint8_t> expected = image.data();
@@ -511,7 +626,7 @@ TEST(SensorNoise, NonPositiveAndHugeStddevStayExact) {
     Rng reference_rng(5);
     Rng rng(5);
     ReferenceNoise(expected, sd, reference_rng);
-    EXPECT_EQ(AddSensorNoise(actual, sd, rng), (actual.size() + 1) / 2);
+    EXPECT_EQ(Noise(actual, sd, rng), (actual.size() + 1) / 2);
     EXPECT_EQ(actual, expected) << "sd " << sd;
   }
 }

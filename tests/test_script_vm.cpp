@@ -13,6 +13,7 @@
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "script/context.hpp"
+#include "script/convert.hpp"
 
 namespace vp::script {
 namespace {
@@ -284,6 +285,153 @@ TEST(VmEquivalence, HostFunctionsSeeTheSameArguments) {
     EXPECT_EQ(seen[0], "1;two;[3, {four: 4}];null;undefined;");
     EXPECT_EQ(seen[1], "{nested: [], k: 7};[];");
   }
+}
+
+// --------------------------------------- cyclic and deep values at the host
+
+/// A context whose host function `send` serializes its argument the
+/// way call_service, call_module and set_timer do.
+void LoadWithSend(Context& context, const std::string& program) {
+  context.RegisterHostFunction(
+      "send", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+        auto j = ScriptToJson(args.empty() ? Value::Undefined() : args[0]);
+        if (!j.ok()) return j.error();
+        return Value(json::Write(*j));
+      });
+  ASSERT_TRUE(context.Load(program).ok());
+}
+
+TEST(VmHostBoundary, CyclicValuesFailAsScriptErrors) {
+  // Both used to recurse in ScriptToJson until the stack overflowed.
+  Context context;
+  LoadWithSend(context, R"(
+    function object_cycle(e) { var a = {}; a.self = a; return send(a); }
+    function array_cycle(e) { var a = []; a.push(a); return send(a); }
+    function nested_cycle(e) {
+      var a = { list: [1, 2] }; a.list.push({ back: a }); return send(a);
+    }
+    function shared_not_cyclic(e) {
+      var s = { v: 1 }; return send({ x: s, y: [s, s] });
+    }
+  )");
+  for (const char* fn : {"object_cycle", "array_cycle", "nested_cycle"}) {
+    auto r = context.Call(fn, {Value(nullptr)});
+    ASSERT_FALSE(r.ok()) << fn;
+    EXPECT_EQ(r.error().code(), StatusCode::kScriptError) << fn;
+    EXPECT_NE(r.error().message().find("cyclic"), std::string::npos)
+        << r.error().message();
+  }
+  // Sharing without a cycle still serializes (each use in full).
+  auto shared = context.Call("shared_not_cyclic", {Value(nullptr)});
+  ASSERT_TRUE(shared.ok()) << shared.error().ToString();
+  EXPECT_EQ(shared->AsString(), R"({"x":{"v":1},"y":[{"v":1},{"v":1}]})");
+}
+
+TEST(VmHostBoundary, NestingPastTheJsonLimitFailsAsAScriptError) {
+  Context context;
+  LoadWithSend(context, R"(
+    function nest(n) { var a = 1; for (var i = 0; i < n; i++) a = [a]; return send(a); }
+  )");
+  EXPECT_TRUE(context.Call("nest", {Value(512.0)}).ok());
+  auto deep = context.Call("nest", {Value(513.0)});
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.error().code(), StatusCode::kScriptError);
+  EXPECT_NE(deep.error().message().find("deeper than 512"), std::string::npos)
+      << deep.error().message();
+}
+
+TEST(VmHostBoundary, JsonParseOfADeepStringFailsAsAScriptError) {
+  Context context;
+  ASSERT_TRUE(context
+                  .Load(R"(
+    function parse(n) {
+      var s = "[";
+      while (s.length < n) s = s + s;
+      return JSON.parse(s);
+    }
+  )")
+                  .ok());
+  auto r = context.Call("parse", {Value(100000.0)});
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message().find("nesting deeper than"), std::string::npos)
+      << r.error().message();
+}
+
+TEST(VmHostBoundary, ScriptToJsonRejectsHostBuiltCyclesAndDepth) {
+  auto object = std::make_shared<ScriptObject>();
+  object->Set("self", Value(object));
+  auto cyclic = ScriptToJson(Value(object));
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.error().code(), StatusCode::kScriptError);
+  object->Clear();  // free the cycle
+  Value deep(1.0);
+  for (int i = 0; i < json::kMaxDepth; ++i) {
+    auto wrapper = std::make_shared<ScriptArray>();
+    wrapper->push_back(deep);
+    deep = Value(std::move(wrapper));
+  }
+  EXPECT_TRUE(ScriptToJson(deep).ok());
+  auto wrapper = std::make_shared<ScriptArray>();
+  wrapper->push_back(deep);
+  auto too_deep = ScriptToJson(Value(std::move(wrapper)));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.error().code(), StatusCode::kScriptError);
+}
+
+TEST(VmHostBoundary, HostileNestingFailsInsteadOfOverflowingTheStack) {
+  Context context;
+  LoadWithSend(context, R"(
+    function nest(n) { var a = 1; for (var i = 0; i < n; i++) a = [a]; return send(a); }
+    var deep = 1;
+    for (var i = 0; i < 100000; i++) deep = [deep];
+    var count = 3;
+  )");
+  auto r = context.Call("nest", {Value(100000.0)});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), StatusCode::kScriptError);
+  // Too deep to read out or checkpoint, but still the module's state.
+  EXPECT_TRUE(context.GetGlobal("deep").is_undefined());
+  EXPECT_EQ(json::Write(context.SnapshotState()), R"({"count":3})");
+}
+
+TEST(VmHostBoundary, CyclicAndDeepValuesDisplayWithoutRecursingForever) {
+  // String conversion in the VM and console.log on the host side used
+  // to recurse without bound on both.
+  Context context;
+  std::vector<std::string> printed;
+  context.interpreter().set_print_handler(
+      [&printed](const std::string& line) { printed.push_back(line); });
+  ASSERT_TRUE(context
+                  .Load(R"(
+    var a = { n: 1 }; a.self = a;
+    var b = [1]; b.push(b);
+    function show(e) { console.log(a, b); return "" + a + " " + b; }
+    function deep(n) { var x = 1; for (var i = 0; i < n; i++) x = [x]; return "" + x; }
+  )")
+                  .ok());
+  auto shown = context.Call("show", {Value(nullptr)});
+  ASSERT_TRUE(shown.ok()) << shown.error().ToString();
+  EXPECT_EQ(shown->AsString(), "{n: 1, self: [Circular]} [1, [Circular]]");
+  ASSERT_EQ(printed.size(), 1u);
+  EXPECT_EQ(printed[0], "{n: 1, self: [Circular]} [1, [Circular]]");
+  auto deep = context.Call("deep", {Value(100000.0)});
+  ASSERT_TRUE(deep.ok()) << deep.error().ToString();
+  EXPECT_EQ(deep->AsString(), std::string(json::kMaxDepth, '[') + "[...]" +
+                                  std::string(json::kMaxDepth, ']'));
+}
+
+TEST(VmCheckpoint, SnapshotSkipsCyclicGlobals) {
+  Context context;
+  ASSERT_TRUE(context
+                  .Load(R"(
+    var a = {}; a.self = a;
+    var b = []; b.push(b);
+    var c = { list: [a] };
+    var kept = { n: 5, list: [1, 2] };
+  )")
+                  .ok());
+  EXPECT_EQ(json::Write(context.SnapshotState()),
+            R"({"kept":{"n":5,"list":[1,2]}})");
 }
 
 TEST(VmEquivalence, ScriptClosuresEscapeToTheHostAndBack) {
