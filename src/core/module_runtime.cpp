@@ -5,7 +5,6 @@
 #include "common/log.hpp"
 #include "core/orchestrator.hpp"
 #include "media/codec.hpp"
-#include "script/convert.hpp"
 
 namespace vp::core {
 
@@ -54,13 +53,15 @@ Status ModuleRuntime::BindAndStart(
         VP_INFO("module") << log_prefix << ": " << line;
       });
 
-  context_->RegisterHostFunction(
-      "call_service", [this](std::vector<script::Value>& args,
+  // The Table-1 calls carry JSON messages: JSON host functions, so
+  // their payloads skip the boxed script::Value.
+  context_->RegisterJsonHostFunction(
+      "call_service", [this](std::vector<script::JsonArg>& args,
                              script::Interpreter&) {
         return HostCallService(args);
       });
-  context_->RegisterHostFunction(
-      "call_module", [this](std::vector<script::Value>& args,
+  context_->RegisterJsonHostFunction(
+      "call_module", [this](std::vector<script::JsonArg>& args,
                             script::Interpreter&) {
         return HostCallModule(args);
       });
@@ -69,9 +70,9 @@ Status ModuleRuntime::BindAndStart(
       [this](std::vector<script::Value>& args, script::Interpreter&) {
         return HostBusyMs(args);
       });
-  context_->RegisterHostFunction(
+  context_->RegisterJsonHostFunction(
       "frame_info",
-      [this](std::vector<script::Value>& args, script::Interpreter&) {
+      [this](std::vector<script::JsonArg>& args, script::Interpreter&) {
         return HostFrameInfo(args);
       });
   context_->RegisterHostFunction(
@@ -96,22 +97,21 @@ Status ModuleRuntime::BindAndStart(
   // milliseconds the module receives an event_received({timer: true,
   // …payload}). Lets modules aggregate, poll, or implement periodic
   // housekeeping without holding frames.
-  context_->RegisterHostFunction(
+  context_->RegisterJsonHostFunction(
       "set_timer",
-      [this](std::vector<script::Value>& args,
-             script::Interpreter&) -> Result<script::Value> {
-        if (args.empty() || !args[0].is_number()) {
+      [this](std::vector<script::JsonArg>& args,
+             script::Interpreter&) -> script::JsonResult {
+        if (args.empty() || args[0].type != script::ValueType::kNumber) {
           return ScriptError("set_timer(ms[, payload]): ms needed");
         }
-        const double ms = args[0].AsNumber();
+        const double ms = args[0].json->AsDouble();
         if (!(ms >= 0.0) || ms > 3.6e6) {
           return ScriptError("set_timer: ms must be in [0, 3.6e6]");
         }
         json::Value payload = json::Value::MakeObject();
-        if (args.size() > 1 && args[1].is_object()) {
-          auto converted = script::ScriptToJson(args[1]);
-          if (!converted.ok()) return converted.error();
-          payload = std::move(*converted);
+        if (args.size() > 1 && args[1].type == script::ValueType::kObject) {
+          if (!args[1].json.ok()) return args[1].json.error();
+          payload = std::move(*args[1].json);
         }
         payload["timer"] = json::Value(true);
         const uint64_t seq = current_seq_;
@@ -128,7 +128,7 @@ Status ModuleRuntime::BindAndStart(
               message.set_seq(seq);
               OnMessage(std::move(message));
             });
-        return script::Value(true);
+        return script::JsonResult(json::Value(true));
       });
 
   for (const auto& [name, fn] : extra_host_functions) {
@@ -248,8 +248,7 @@ void ModuleRuntime::ExecuteHandler(net::Message message) {
   const TimePoint start = orchestrator_->cluster().Now();
   pipeline_->metrics().OnStageStart(current_seq_, name(), start);
 
-  auto arg = script::JsonToScript(payload);
-  auto result = context_->Call("event_received", {std::move(arg)});
+  auto result = context_->CallJson("event_received", payload);
   if (!result.ok() && !orchestrator_->draining_fibers()) {
     ++stats_.script_errors;
     VP_WARN("module") << name() << ": event_received failed: "
@@ -292,12 +291,12 @@ void ModuleRuntime::FinishEvent() {
   }
 }
 
-Result<script::Value> ModuleRuntime::HostCallService(
-    std::vector<script::Value>& args) {
-  if (args.size() < 1 || !args[0].is_string()) {
+script::JsonResult ModuleRuntime::HostCallService(
+    std::vector<script::JsonArg>& args) {
+  if (args.size() < 1 || args[0].type != script::ValueType::kString) {
     return ScriptError("call_service(service, message): service name needed");
   }
-  const std::string& service = args[0].AsString();
+  const std::string& service = args[0].json->AsString();
   if (std::find(spec_->services.begin(), spec_->services.end(), service) ==
       spec_->services.end()) {
     return ScriptError("module '" + name() + "' does not declare service '" +
@@ -305,23 +304,22 @@ Result<script::Value> ModuleRuntime::HostCallService(
   }
   json::Value payload;
   if (args.size() > 1) {
-    auto converted = script::ScriptToJson(args[1]);
-    if (!converted.ok()) return converted.error();
-    payload = std::move(*converted);
+    if (!args[1].json.ok()) return args[1].json.error();
+    payload = std::move(*args[1].json);
   }
   ++stats_.service_calls;
   auto response = orchestrator_->CallService(*this, service,
                                              std::move(payload));
   if (!response.ok()) return response.error();
-  return script::JsonToScript(*response);
+  return script::JsonResult(std::move(*response));
 }
 
-Result<script::Value> ModuleRuntime::HostCallModule(
-    std::vector<script::Value>& args) {
-  if (args.size() < 1 || !args[0].is_string()) {
+script::JsonResult ModuleRuntime::HostCallModule(
+    std::vector<script::JsonArg>& args) {
+  if (args.size() < 1 || args[0].type != script::ValueType::kString) {
     return ScriptError("call_module(module, message): module name needed");
   }
-  const std::string& target = args[0].AsString();
+  const std::string& target = args[0].json->AsString();
   if (std::find(spec_->next_modules.begin(), spec_->next_modules.end(),
                 target) == spec_->next_modules.end()) {
     return ScriptError("module '" + name() + "' has no edge to '" + target +
@@ -329,14 +327,13 @@ Result<script::Value> ModuleRuntime::HostCallModule(
   }
   json::Value payload;
   if (args.size() > 1) {
-    auto converted = script::ScriptToJson(args[1]);
-    if (!converted.ok()) return converted.error();
-    payload = std::move(*converted);
+    if (!args[1].json.ok()) return args[1].json.error();
+    payload = std::move(*args[1].json);
   }
   ++stats_.module_sends;
   Status sent = orchestrator_->SendToModule(*this, target, std::move(payload));
   if (!sent.ok()) return ScriptError(sent.message());
-  return script::Value::Undefined();
+  return script::JsonResult(std::nullopt);
 }
 
 Result<script::Value> ModuleRuntime::HostBusyMs(
@@ -352,22 +349,20 @@ Result<script::Value> ModuleRuntime::HostBusyMs(
   return script::Value::Undefined();
 }
 
-Result<script::Value> ModuleRuntime::HostFrameInfo(
-    std::vector<script::Value>& args) {
-  if (args.empty() || !args[0].is_number()) {
+script::JsonResult ModuleRuntime::HostFrameInfo(
+    std::vector<script::JsonArg>& args) {
+  if (args.empty() || args[0].type != script::ValueType::kNumber) {
     return ScriptError("frame_info(frame_id): numeric id needed");
   }
-  const auto id = static_cast<media::FrameId>(args[0].AsNumber());
+  const auto id = static_cast<media::FrameId>(args[0].json->AsDouble());
   auto frame = orchestrator_->store(device_).Get(id);
   if (!frame.ok()) return frame.error();
-  auto info = script::Value::MakeObject();
-  info.AsObject()->Set("seq",
-                       script::Value(static_cast<double>((*frame)->seq)));
-  info.AsObject()->Set("width", script::Value((*frame)->image.width()));
-  info.AsObject()->Set("height", script::Value((*frame)->image.height()));
-  info.AsObject()->Set(
-      "capture_ms", script::Value((*frame)->capture_time.millis()));
-  return info;
+  json::Value info = json::Value::MakeObject();
+  info["seq"] = json::Value(static_cast<double>((*frame)->seq));
+  info["width"] = json::Value((*frame)->image.width());
+  info["height"] = json::Value((*frame)->image.height());
+  info["capture_ms"] = json::Value((*frame)->capture_time.millis());
+  return script::JsonResult(std::move(info));
 }
 
 }  // namespace vp::core

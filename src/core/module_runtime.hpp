@@ -128,10 +128,10 @@ class ModuleRuntime {
   void FinishEvent();
 
   // Host-function implementations (Table 1).
-  Result<script::Value> HostCallService(std::vector<script::Value>& args);
-  Result<script::Value> HostCallModule(std::vector<script::Value>& args);
+  script::JsonResult HostCallService(std::vector<script::JsonArg>& args);
+  script::JsonResult HostCallModule(std::vector<script::JsonArg>& args);
   Result<script::Value> HostBusyMs(std::vector<script::Value>& args);
-  Result<script::Value> HostFrameInfo(std::vector<script::Value>& args);
+  script::JsonResult HostFrameInfo(std::vector<script::JsonArg>& args);
 
   Orchestrator* orchestrator_;
   PipelineDeployment* pipeline_;

@@ -1,5 +1,7 @@
 #include "json/value.hpp"
 
+#include <cassert>
+
 #include "json/write.hpp"
 
 namespace vp::json {
@@ -22,6 +24,11 @@ Value& Value::Object::operator[](const std::string& key) {
   }
   items_.emplace_back(key, Value());
   return items_.back().second;
+}
+
+void Value::Object::AppendNew(std::string key, Value v) {
+  assert(Find(key) == nullptr);
+  items_.emplace_back(std::move(key), std::move(v));
 }
 
 const Value* Value::Object::Find(const std::string& key) const {

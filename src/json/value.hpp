@@ -34,6 +34,11 @@ class Value {
     Value* Find(const std::string& key);
     bool Contains(const std::string& key) const { return Find(key) != nullptr; }
     bool Erase(const std::string& key);
+    /// Room for `n` members without reallocating.
+    void Reserve(size_t n) { items_.reserve(n); }
+    /// Add a member whose key is not present yet, skipping
+    /// operator[]'s scan for it (asserted in debug builds).
+    void AppendNew(std::string key, Value v);
     size_t size() const { return items_.size(); }
     bool empty() const { return items_.empty(); }
     auto begin() const { return items_.begin(); }

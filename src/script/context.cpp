@@ -1,5 +1,6 @@
 #include "script/context.hpp"
 
+#include "script/convert.hpp"
 #include "script/program_cache.hpp"
 #include "script/stdlib.hpp"
 
@@ -10,6 +11,11 @@ Context::Context(ContextOptions options)
 
 void Context::RegisterHostFunction(const std::string& name, HostFunction fn) {
   DefineGlobal(name, Value::MakeHostFunction(name, std::move(fn)));
+}
+
+void Context::RegisterJsonHostFunction(const std::string& name,
+                                       JsonHostFunction fn) {
+  DefineGlobal(name, MakeJsonHostFunction(name, std::move(fn)));
 }
 
 void Context::DefineGlobal(const std::string& name, Value v) {
@@ -72,6 +78,13 @@ Result<Value> Context::Call(const std::string& name, std::vector<Value> args) {
   if (vm_ == nullptr) return NotFound("no function '" + name + "' in module");
   vm_->ResetBudget();
   return vm_->CallGlobal(name, std::move(args));
+}
+
+Result<Value> Context::CallJson(const std::string& name,
+                               const json::Value& arg) {
+  if (vm_ == nullptr) return NotFound("no function '" + name + "' in module");
+  vm_->ResetBudget();
+  return vm_->CallGlobalJson(name, arg);
 }
 
 Value Context::GetGlobal(const std::string& name) const {

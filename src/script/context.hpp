@@ -35,8 +35,13 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  /// Expose a host function as a global, e.g. call_service.
+  /// Expose a host function as a global.
   void RegisterHostFunction(const std::string& name, HostFunction fn);
+
+  /// Expose a host function on JSON data as a global, e.g.
+  /// call_service: script arguments reach it exported to JSON and its
+  /// result is imported back, without a boxed Value in between.
+  void RegisterJsonHostFunction(const std::string& name, JsonHostFunction fn);
 
   /// Define an arbitrary global value (configuration constants…).
   void DefineGlobal(const std::string& name, Value v);
@@ -52,9 +57,16 @@ class Context {
 
   /// Call a global function by name. Resets the step budget first, so
   /// each event gets the full budget (FaaS-style per-invocation cap).
+  /// A result that contains itself or is nested deeper than
+  /// json::kMaxDepth cannot leave the VM: the call fails (kScriptError).
   Result<Value> Call(const std::string& name, std::vector<Value> args);
 
-  /// Read a global (undefined if absent).
+  /// Call with one argument given as JSON — a message payload for
+  /// event_received — imported into the VM directly.
+  Result<Value> CallJson(const std::string& name, const json::Value& arg);
+
+  /// Read a global (undefined if absent, or if it cannot leave the VM:
+  /// a value that contains itself or is nested too deep).
   Value GetGlobal(const std::string& name) const;
 
   /// Snapshot the module-defined, JSON-serializable globals — the

@@ -31,6 +31,20 @@ Value JsonToScript(const json::Value& v) {
   return Value(nullptr);
 }
 
+Error JsonFunctionError() {
+  return ScriptError("cannot serialize a function to JSON");
+}
+
+Error JsonCycleError() {
+  return ScriptError("cannot serialize a cyclic value to JSON");
+}
+
+Error JsonDepthError() {
+  return ScriptError(Format("cannot serialize a value nested deeper than %d "
+                            "levels to JSON",
+                            json::kMaxDepth));
+}
+
 namespace {
 
 /// `open` holds the containers being converted, outermost first.
@@ -49,18 +63,16 @@ Result<json::Value> ToJson(const Value& v, std::vector<const void*>& open) {
     case ValueType::kObject:
       break;
     case ValueType::kHostFunction:
-      return ScriptError("cannot serialize a function to JSON");
+      return JsonFunctionError();
   }
   const void* identity =
       v.is_array() ? static_cast<const void*>(v.AsArray().get())
                    : static_cast<const void*>(v.AsObject().get());
   if (std::find(open.begin(), open.end(), identity) != open.end()) {
-    return ScriptError("cannot serialize a cyclic value to JSON");
+    return JsonCycleError();
   }
   if (open.size() == static_cast<size_t>(json::kMaxDepth)) {
-    return ScriptError(Format("cannot serialize a value nested deeper than %d "
-                              "levels to JSON",
-                              json::kMaxDepth));
+    return JsonDepthError();
   }
   open.push_back(identity);
   json::Value out;
@@ -91,6 +103,24 @@ Result<json::Value> ToJson(const Value& v, std::vector<const void*>& open) {
 Result<json::Value> ScriptToJson(const Value& v) {
   std::vector<const void*> open;
   return ToJson(v, open);
+}
+
+Value MakeJsonHostFunction(std::string name, JsonHostFunction fn) {
+  auto host = std::make_shared<HostFunctionValue>();
+  host->name = std::move(name);
+  host->fn = [fn](std::vector<Value>& args,
+                  Interpreter& interp) -> Result<Value> {
+    std::vector<JsonArg> json_args;
+    json_args.reserve(args.size());
+    for (const Value& a : args) {
+      json_args.push_back(JsonArg{a.type(), ScriptToJson(a)});
+    }
+    auto r = fn(json_args, interp);
+    if (!r.ok()) return r.error();
+    return r->has_value() ? JsonToScript(**r) : Value::Undefined();
+  };
+  host->json_fn = std::move(fn);
+  return Value(std::move(host));
 }
 
 }  // namespace vp::script

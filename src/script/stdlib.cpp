@@ -1,5 +1,6 @@
 // vpscript standard library: string methods plus the global console /
-// Math / JSON / Object / Array namespaces, as boxed host functions.
+// Math / JSON / Object / Array namespaces, as host functions (JSON.* on
+// JSON data, the rest on boxed values).
 // Array methods are native to the VM (vm.cpp), which operates on its
 // arrays in place. Kept deliberately close to the JavaScript surface
 // that Duktape offers module authors.
@@ -257,24 +258,26 @@ std::vector<std::pair<std::string, Value>> StdlibGlobals(uint64_t seed) {
   // ---- JSON ---------------------------------------------------------
   auto json_ns = std::make_shared<ScriptObject>();
   json_ns->Set("stringify",
-               Value::MakeHostFunction(
-                   "stringify", [](std::vector<Value>& args,
-                                   Interpreter&) -> Result<Value> {
-                     if (args.empty()) return Value("undefined");
-                     auto j = ScriptToJson(args[0]);
-                     if (!j.ok()) return j.error();
-                     return Value(json::Write(*j));
+               MakeJsonHostFunction(
+                   "stringify",
+                   [](std::vector<JsonArg>& args, Interpreter&) -> JsonResult {
+                     if (args.empty()) {
+                       return JsonResult(json::Value("undefined"));
+                     }
+                     if (!args[0].json.ok()) return args[0].json.error();
+                     return JsonResult(json::Value(json::Write(*args[0].json)));
                    }));
-  json_ns->Set("parse", Value::MakeHostFunction(
-                            "parse", [](std::vector<Value>& args,
-                                        Interpreter&) -> Result<Value> {
-                              if (args.empty() || !args[0].is_string()) {
-                                return ScriptError("JSON.parse needs a string");
-                              }
-                              auto j = json::Parse(args[0].AsString());
-                              if (!j.ok()) return j.error();
-                              return JsonToScript(*j);
-                            }));
+  json_ns->Set("parse",
+               MakeJsonHostFunction(
+                   "parse",
+                   [](std::vector<JsonArg>& args, Interpreter&) -> JsonResult {
+                     if (args.empty() || args[0].type != ValueType::kString) {
+                       return ScriptError("JSON.parse needs a string");
+                     }
+                     auto j = json::Parse(args[0].json->AsString());
+                     if (!j.ok()) return j.error();
+                     return JsonResult(std::move(*j));
+                   }));
   globals.emplace_back("JSON", Value(json_ns));
 
   // ---- Object / Array helpers ----------------------------------------

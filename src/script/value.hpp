@@ -3,20 +3,26 @@
 // The boxed Value is the host API type: host functions take and return
 // it, and Context::Call / GetGlobal hand it to the runtime. Semantics
 // are JavaScript-like: numbers are doubles, objects and arrays are
-// reference types (shared). Functions are host functions — the
-// paper's Table-1 API (call_service / call_module / …) and script
+// reference types (shared). Functions are host functions and script
 // closures that escaped the VM (vm.hpp wraps them). The VM itself runs
 // on NaN-boxed values and converts at the boundary.
+//
+// Host functions whose data is JSON anyway — the paper's Table-1 API
+// (call_service / call_module / …) and JSON.* — are JsonHostFunctions
+// instead: the VM exports their arguments straight to json::Value and
+// imports their result straight back, with no boxed Value in between.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "common/error.hpp"
+#include "json/value.hpp"
 #include "script/intern.hpp"
 
 namespace vp::script {
@@ -49,14 +55,36 @@ class Interpreter {
   std::function<void(const std::string&)> print_;
 };
 
-struct HostFunctionValue {
-  std::string name;
-  HostFunction fn;
-};
-
 enum class ValueType {
   kUndefined, kNull, kBool, kNumber, kString, kObject, kArray,
   kHostFunction,
+};
+
+/// One argument of a JsonHostFunction: its script type, and its JSON
+/// form or the error ScriptToJson reports for it (a function, a value
+/// that contains itself, nesting past json::kMaxDepth). Every argument
+/// is converted before the call; a function reports a conversion error
+/// only if it reads that argument's `json`.
+struct JsonArg {
+  ValueType type;
+  Result<json::Value> json;
+};
+
+/// What a JsonHostFunction returns to the script: a JSON value, or
+/// std::nullopt for undefined.
+using JsonResult = Result<std::optional<json::Value>>;
+
+/// A host function on JSON data.
+using JsonHostFunction =
+    std::function<JsonResult(std::vector<JsonArg>& args, Interpreter& interp)>;
+
+struct HostFunctionValue {
+  std::string name;
+  HostFunction fn;
+  /// Set for a JSON host function (MakeJsonHostFunction, convert.hpp).
+  /// The VM calls it directly; `fn` reaches the same function through
+  /// ScriptToJson / JsonToScript for callers holding boxed values.
+  JsonHostFunction json_fn;
 };
 
 const char* ValueTypeName(ValueType t);

@@ -38,6 +38,10 @@ Error TooDeepError() {
                             json::kMaxDepth));
 }
 
+Error CyclicToHostError() {
+  return ScriptError("cannot pass a cyclic value to the host");
+}
+
 }  // namespace
 
 // ----------------------------------------------------- GcObject lookup
@@ -230,6 +234,9 @@ Vm::Vm(InterpreterLimits limits, Interpreter* interp)
 }
 
 Vm::~Vm() {
+  // First: wrappers freed below (or later) must not unpin into, or call,
+  // this Vm.
+  if (self_ != nullptr) *self_ = nullptr;
   GcObj* obj = heap_head_;
   while (obj != nullptr) {
     GcObj* next = obj->next;
@@ -367,7 +374,7 @@ void Vm::CollectGarbage() {
   }
   for (const GlobalSlotData& g : globals_) MarkValue(g.value);
   for (VpValue v : temp_roots_) MarkValue(v);
-  for (VpValue v : escaped_) MarkValue(v);
+  for (const auto& [obj, count] : escaped_) MarkObject(obj);
   for (const auto& proto : protos_) {
     for (VpValue c : proto->constants) MarkValue(c);
   }
@@ -668,6 +675,7 @@ Result<VpValue> Vm::CallValue(VpValue callee, const VpValue* args, int argc,
 Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
                       int line, VpValue* out) {
   (void)line;
+  if (host->host->json_fn) return CallJsonHostFn(*host->host, args, argc, out);
   std::vector<Value> boxed;
   boxed.reserve(static_cast<size_t>(argc));
   ExportMemo memo;  // arg-sharing per call
@@ -682,6 +690,34 @@ Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
   if (r.ok()) *out = BoxedToVm(*r);
   memo.BreakCycles();
   return r.ok() ? Status::Ok() : r.status();
+}
+
+Status Vm::CallJsonHostFn(const HostFunctionValue& host, const VpValue* args,
+                          int argc, VpValue* out) {
+  std::vector<JsonArg> json_args;
+  json_args.reserve(static_cast<size_t>(argc));
+  bool all_converted = true;
+  for (int i = 0; i < argc; ++i) {
+    json_args.push_back(JsonArg{VmValueType(args[i]), ExportJson(args[i])});
+    all_converted = all_converted && json_args.back().json.ok();
+  }
+  // A boxed host function is never called with an argument too deep to
+  // box; keep that check first. Only an argument with no JSON form can
+  // be one.
+  if (!all_converted && ArgsTooDeepForHost(args, argc)) {
+    return Status(TooDeepError());
+  }
+  auto r = host.json_fn(json_args, *interp_);
+  if (!r.ok()) return r.status();
+  *out = r->has_value() ? ImportJson(**r) : VpValue::Undefined();
+  return Status::Ok();
+}
+
+bool Vm::ArgsTooDeepForHost(const VpValue* args, int argc) {
+  ExportMemo memo;  // shared by the arguments, as in CallHostFn
+  for (int i = 0; i < argc; ++i) (void)ExportValueRec(args[i], memo);
+  memo.BreakCycles();
+  return memo.too_deep;
 }
 
 // ------------------------------------------------- native array methods
@@ -1720,19 +1756,23 @@ bool Vm::GlobalIsFunction(const std::string& name) const {
   return it != global_index_.end() && IsCallable(globals_[it->second].value);
 }
 
-Value Vm::GetGlobalBoxed(const std::string& name) {
+VpValue Vm::GlobalValue(const std::string& name) const {
   const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return Value::Undefined();
+  if (id == kNoNameId) return VpValue::Undefined();
   auto it = global_index_.find(id);
-  if (it == global_index_.end()) return Value::Undefined();
+  if (it == global_index_.end()) return VpValue::Undefined();
   const VpValue v = globals_[it->second].value;
-  if (v.is_empty()) return Value::Undefined();
+  return v.is_empty() ? VpValue::Undefined() : v;
+}
+
+Value Vm::GetGlobalBoxed(const std::string& name) {
+  const VpValue v = GlobalValue(name);
+  if (v.is_undefined()) return Value::Undefined();
   auto boxed = VmToBoxed(v);
   return boxed.ok() ? *boxed : Value::Undefined();
 }
 
-Result<Value> Vm::CallGlobal(const std::string& name,
-                             std::vector<Value> args) {
+Result<VpValue> Vm::FindCallable(const std::string& name) const {
   const auto not_found = [&name]() {
     return NotFound("no function '" + name + "' in module");
   };
@@ -1742,30 +1782,54 @@ Result<Value> Vm::CallGlobal(const std::string& name,
   if (it == global_index_.end()) return not_found();
   const VpValue fn = globals_[it->second].value;
   if (!IsCallable(fn)) return not_found();
+  return fn;
+}
 
-  if (fn.IsHeapType(GcType::kHostFn)) {
+Result<Value> Vm::CallGlobal(const std::string& name,
+                             std::vector<Value> args) {
+  auto fn = FindCallable(name);
+  if (!fn.ok()) return fn.error();
+  if (fn->IsHeapType(GcType::kHostFn)) {
     // A host function stored in a global: call it on boxed values
     // directly, no VM frame involved.
-    auto r = static_cast<GcHostFn*>(fn.AsHeap())->host->fn(args, *interp_);
+    auto r = static_cast<GcHostFn*>(fn->AsHeap())->host->fn(args, *interp_);
     if (!r.ok()) return r.error();
     return *r;
   }
-
-  const size_t entry_sp = sp_;
-  const size_t base_frames = frames_.size();
   if (sp_ + args.size() + 1 > kStackCapacity) {
     return Error(StatusCode::kScriptError, "stack overflow");
   }
-  Push(fn);
+  Push(*fn);
   import_memo_.clear();  // one conversion: boxed arg sharing preserved
   for (const Value& a : args) Push(ImportValueRec(a));
+  return RunGlobalCall(*fn, args.size());
+}
+
+Result<Value> Vm::CallGlobalJson(const std::string& name,
+                                 const json::Value& arg) {
+  auto fn = FindCallable(name);
+  if (!fn.ok()) return fn.error();
+  if (fn->IsHeapType(GcType::kHostFn)) {
+    return CallGlobal(name, {JsonToScript(arg)});
+  }
+  if (sp_ + 2 > kStackCapacity) {
+    return Error(StatusCode::kScriptError, "stack overflow");
+  }
+  Push(*fn);
+  Push(ImportJson(arg));
+  return RunGlobalCall(*fn, 1);
+}
+
+Result<Value> Vm::RunGlobalCall(VpValue fn, size_t argc) {
+  const size_t entry_sp = sp_ - argc - 1;
+  const size_t base_frames = frames_.size();
   depth_base_ = frames_.size();  // the called function is depth 1
   Status s;
   if (fn.IsHeapType(GcType::kClosure)) {
-    s = PushFrame(fn, static_cast<int>(args.size()), 0);
+    s = PushFrame(fn, static_cast<int>(argc), 0);
     if (s.ok()) s = Run(base_frames);
   } else {
-    s = CallNonClosure(fn, static_cast<int>(args.size()), 0);
+    s = CallNonClosure(fn, static_cast<int>(argc), 0);
   }
   if (!s.ok()) {
     CloseUpvalues(&stack_[entry_sp]);
@@ -1783,14 +1847,17 @@ json::Value Vm::SnapshotState() {
   for (const GlobalSlotData& g : globals_) {
     if (g.baseline || g.value.is_empty() || g.value.is_undefined()) continue;
     if (IsCallable(g.value)) continue;
-    ExportMemo memo;
-    auto j = ScriptToJson(ExportValueRec(g.value, memo));
-    memo.BreakCycles();
+    auto j = ExportJson(g.value);
     // Non-serializable state (cyclic or too deep too) is skipped.
-    if (memo.too_deep || !j.ok()) continue;
+    if (!j.ok()) continue;
     snapshot[g.name] = std::move(*j);
   }
   return snapshot;
+}
+
+void Vm::Unpin(GcObj* obj) {
+  auto it = escaped_.find(obj);
+  if (it != escaped_.end() && --it->second == 0) escaped_.erase(it);
 }
 
 Status Vm::RestoreState(const json::Value& snapshot) {
@@ -1814,8 +1881,7 @@ Status Vm::RestoreState(const json::Value& snapshot) {
   }
   for (const auto& [key, value] : snapshot.AsObject()) {
     GlobalSlotData& g = globals_[*GlobalSlot(key)];
-    import_memo_.clear();
-    g.value = ImportValueRec(JsonToScript(value));
+    g.value = ImportJson(value);
   }
   return Status::Ok();
 }
@@ -1834,11 +1900,107 @@ VpValue Vm::BoxedToVm(const Value& v) {
 Result<Value> Vm::VmToBoxed(VpValue v) {
   ExportMemo memo;
   Value boxed = ExportValueRec(v, memo);
-  if (memo.too_deep) {
+  if (memo.too_deep || memo.cyclic) {
+    // A shared_ptr cycle handed over would be the caller's to break or
+    // leak: break it here, and hand over nothing.
     memo.BreakCycles();
-    return TooDeepError();
+    if (memo.too_deep) return TooDeepError();
+    return CyclicToHostError();
   }
   return boxed;
+}
+
+VpValue Vm::ImportJson(const json::Value& j) {
+  // Allocation order and shape as BoxedToVm(JsonToScript(j)): each
+  // container before its children, no reserve (capacities feed the
+  // GC's byte accounting), keys without an interned id.
+  switch (j.type()) {
+    case json::Type::kNull:
+      return VpValue::Null();
+    case json::Type::kBool:
+      return VpValue::Boolean(j.AsBool());
+    case json::Type::kNumber:
+      return VpValue::Number(j.AsDouble());
+    case json::Type::kString:
+      return VpValue::Heap(NewString(j.AsString()));
+    case json::Type::kArray: {
+      GcArray* arr = NewArray();
+      for (const json::Value& item : j.AsArray()) {
+        arr->items.push_back(ImportJson(item));
+      }
+      return VpValue::Heap(arr);
+    }
+    case json::Type::kObject: {
+      GcObject* obj = NewObject();
+      // json::Value::Object keys are unique, as GcObject's must be.
+      for (const auto& [key, item] : j.AsObject()) {
+        obj->items.push_back(
+            GcObject::Entry{kNoNameId, key, ImportJson(item)});
+      }
+      return VpValue::Heap(obj);
+    }
+  }
+  return VpValue::Null();
+}
+
+Result<json::Value> Vm::ExportJson(VpValue v) const {
+  std::vector<const GcObj*> open;
+  return ExportJsonRec(v, open);
+}
+
+Result<json::Value> Vm::ExportJsonRec(VpValue v,
+                                      std::vector<const GcObj*>& open) const {
+  // ScriptToJson's walk over the graph VmToBoxed would box: the same
+  // checks in the same order (function, cycle, depth), so the first
+  // failure is the same one. Shared containers expand at every use.
+  if (v.is_number()) return json::Value(v.AsNumber());
+  if (v.is_bool()) return json::Value(v.AsBool());
+  if (!v.is_heap()) return json::Value(nullptr);  // undefined, null, empty
+  const GcObj* obj = v.AsHeap();
+  switch (obj->type) {
+    case GcType::kString:
+      return json::Value(static_cast<const GcString*>(obj)->text);
+    case GcType::kArray:
+    case GcType::kObject:
+      break;
+    case GcType::kClosure:
+    case GcType::kHostFn:
+    case GcType::kBoundMethod:
+      return JsonFunctionError();
+    case GcType::kUpvalue:
+      return json::Value(nullptr);  // never script-visible
+  }
+  if (std::find(open.begin(), open.end(), obj) != open.end()) {
+    return JsonCycleError();
+  }
+  if (open.size() == static_cast<size_t>(json::kMaxDepth)) {
+    return JsonDepthError();
+  }
+  open.push_back(obj);
+  json::Value out;
+  if (obj->type == GcType::kArray) {
+    const auto& items = static_cast<const GcArray*>(obj)->items;
+    json::Value::Array arr;
+    arr.reserve(items.size());
+    for (VpValue item : items) {
+      auto j = ExportJsonRec(item, open);
+      if (!j.ok()) return j;
+      arr.push_back(std::move(*j));
+    }
+    out = json::Value(std::move(arr));
+  } else {
+    const auto& items = static_cast<const GcObject*>(obj)->items;
+    json::Value::Object fields;
+    fields.Reserve(items.size());
+    for (const auto& e : items) {
+      auto j = ExportJsonRec(e.value, open);
+      if (!j.ok()) return j;
+      fields.AppendNew(e.key, std::move(*j));  // GcObject keys are unique
+    }
+    out = json::Value(std::move(fields));
+  }
+  open.pop_back();
+  return out;
 }
 
 VpValue Vm::ImportValueRec(const Value& v) {
@@ -1946,16 +2108,28 @@ Value Vm::ExportValueRec(VpValue v, ExportMemo& memo) {
     case GcType::kClosure:
     case GcType::kBoundMethod: {
       // The host-side shared_ptr is invisible to the collector: pin the
-      // underlying object for the life of the Vm.
-      escaped_.push_back(v);
+      // underlying object for as long as the wrapper lives.
       auto host = std::make_shared<HostFunctionValue>();
       host->name = obj->type == GcType::kClosure
                        ? static_cast<GcClosure*>(obj)->proto->name
                        : static_cast<GcBoundMethod*>(obj)->name;
-      Vm* vm = this;
-      const VpValue callee = v;
-      host->fn = [vm, callee](std::vector<Value>& args,
-                              Interpreter&) -> Result<Value> {
+      if (self_ == nullptr) self_ = std::make_shared<Vm*>(this);
+      Pin(obj);
+      // Shared by the copies of the wrapper's std::function; the last
+      // one to go unpins.
+      std::shared_ptr<const VpValue> pin(
+          new VpValue(v), [self = self_](const VpValue* pinned) {
+            if (*self != nullptr) (*self)->Unpin(pinned->AsHeap());
+            delete pinned;
+          });
+      host->fn = [self = self_, pin](std::vector<Value>& args,
+                                     Interpreter&) -> Result<Value> {
+        Vm* vm = *self;
+        if (vm == nullptr) {
+          return ScriptError("script function called after its module "
+                             "was unloaded");
+        }
+        const VpValue callee = *pin;
         std::vector<VpValue> vm_args;
         vm_args.reserve(args.size());
         vm->import_memo_.clear();

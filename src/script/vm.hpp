@@ -20,11 +20,13 @@
 // boundaries. Wall-clock time never influences when a collection runs,
 // so a GC pause cannot perturb the discrete-event simulator.
 //
-// Host interop: values crossing the host boundary (host functions,
-// GetGlobal, snapshots) are deep-converted to/from the boxed Value.
-// Every host function in the runtime (call_service, Math.*, JSON.*,
-// console.log, …) only reads its arguments and returns plain data, so
-// deep conversion is semantically transparent.
+// Host interop: values crossing the host boundary are deep-converted.
+// JSON-shaped crossings (JSON host functions such as call_service and
+// JSON.*, event_received payloads, snapshots) convert straight between
+// VpValue and json::Value; the rest (boxed host functions, Context::Call
+// and GetGlobal) go through the boxed Value. Every host function in the
+// runtime only reads its arguments and returns plain data, so deep
+// conversion is semantically transparent.
 #pragma once
 
 #include <cstdint>
@@ -306,8 +308,13 @@ class Vm {
 
   // -- host entry points ----------------------------------------------
   bool GlobalIsFunction(const std::string& name) const;
+  /// The global `name` as the VM holds it (undefined if absent). Not a
+  /// root: valid while the global still refers to it.
+  VpValue GlobalValue(const std::string& name) const;
   Value GetGlobalBoxed(const std::string& name);
   Result<Value> CallGlobal(const std::string& name, std::vector<Value> args);
+  /// CallGlobal with the single argument `arg`, imported from JSON.
+  Result<Value> CallGlobalJson(const std::string& name, const json::Value& arg);
 
   json::Value SnapshotState();
   /// Overwrite module globals from a SnapshotState() object. The whole
@@ -346,10 +353,21 @@ class Vm {
   static const char* TypeName(VpValue v);
 
   /// Deep conversions across the host boundary (cycle-safe). A value
-  /// nested deeper than json::kMaxDepth does not leave the VM: the
-  /// export fails with kScriptError.
+  /// that contains itself or is nested deeper than json::kMaxDepth does
+  /// not leave the VM: the export fails with kScriptError. A closure
+  /// leaves as a host function that stays callable (and keeps the
+  /// closure alive) for as long as the boxed wrapper lives; once the Vm
+  /// is gone, calling it fails.
   VpValue BoxedToVm(const Value& v);
   Result<Value> VmToBoxed(VpValue v);
+
+  /// Direct JSON conversions, equal to the boxed route:
+  /// ImportJson(j) builds what BoxedToVm(JsonToScript(j)) builds, in
+  /// the same allocation order; ExportJson(v) returns what
+  /// ScriptToJson(VmToBoxed(v)) returns, with ScriptToJson's errors
+  /// (function, cycle, depth) for a value that has no JSON form.
+  VpValue ImportJson(const json::Value& j);
+  Result<json::Value> ExportJson(VpValue v) const;
 
  private:
   struct Frame {
@@ -401,6 +419,11 @@ class Vm {
                            VpValue* out);
   Status CallHostFn(GcHostFn* host, const VpValue* args, int argc, int line,
                     VpValue* out);
+  Status CallJsonHostFn(const HostFunctionValue& host, const VpValue* args,
+                        int argc, VpValue* out);
+  /// Whether exporting `args` to boxed values, as one call does, cuts a
+  /// container past json::kMaxDepth.
+  bool ArgsTooDeepForHost(const VpValue* args, int argc);
   /// Call a non-closure callee (host fn / bound method / error case);
   /// stack holds [callee, args...], replaced by the result on success.
   Status CallNonClosure(VpValue callee, int argc, int line);
@@ -419,8 +442,18 @@ class Vm {
     void BreakCycles();
   };
 
+  /// The global `name` if it holds something callable.
+  Result<VpValue> FindCallable(const std::string& name) const;
+  /// Run a call whose callee and `argc` arguments are already pushed.
+  Result<Value> RunGlobalCall(VpValue fn, size_t argc);
+
   VpValue ImportValueRec(const Value& v);
   Value ExportValueRec(VpValue v, ExportMemo& memo);
+  Result<json::Value> ExportJsonRec(VpValue v,
+                                    std::vector<const GcObj*>& open) const;
+  /// Pin counts for closures held by boxed host-side wrappers.
+  void Pin(GcObj* obj) { ++escaped_[obj]; }
+  void Unpin(GcObj* obj);
   /// ToDisplayString with the containers being displayed in `open`.
   std::string Display(VpValue v, std::vector<const GcObj*>& open) const;
 
@@ -474,10 +507,13 @@ class Vm {
   /// conversion is in flight (collection only happens at instruction
   /// boundaries), so the memo is not a root.
   std::unordered_map<const void*, VpValue> import_memo_;
-  /// VM closures handed to the host (VmToBoxed wrappers) stay rooted
-  /// here for the life of the Vm — the host-side shared_ptr is
-  /// invisible to the collector.
-  std::vector<VpValue> escaped_;
+  /// VM closures handed to the host (VmToBoxed wrappers), rooted here
+  /// with one count per live wrapper: the host-side shared_ptr is
+  /// invisible to the collector. A wrapper's destruction unpins.
+  std::unordered_map<GcObj*, uint32_t> escaped_;
+  /// This Vm, for wrappers; nulled when it dies, so a wrapper that
+  /// outlives it neither calls into nor unpins freed memory.
+  std::shared_ptr<Vm*> self_;
   /// Frame count corresponding to call depth 0 for the current entry (1 for RunTopLevel — the script frame is not a
   /// "call" — 0 for CallGlobal).
   size_t depth_base_ = 0;

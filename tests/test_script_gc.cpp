@@ -124,5 +124,95 @@ TEST(VmGc, CheckpointSurvivesCollection) {
   EXPECT_DOUBLE_EQ(target.GetGlobal("events").AsNumber(), 600.0);
 }
 
+TEST(VmGc, ClosuresShownToTheHostAreNotPinnedForever) {
+  // console.log boxes its arguments, and a closure among them leaves as
+  // a wrapper that keeps it alive. The wrapper dies with the call, and
+  // the pin must die with it, or every event leaves one more live
+  // closure behind.
+  Context context;
+  context.interpreter().set_print_handler([](const std::string&) {});
+  ASSERT_TRUE(context
+                  .Load(R"(
+    var n = 0;
+    function event_received(e) {
+      n += 1;
+      var f = function () { return n; };
+      console.log("h", f);
+    }
+  )")
+                  .ok());
+  Vm* vm = context.vm();
+  auto e = Value::MakeObject();
+  ASSERT_TRUE(context.Call("event_received", {e}).ok());
+  vm->CollectGarbage();
+  const size_t settled = vm->live_objects();
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(context.Call("event_received", {e}).ok());
+  }
+  vm->CollectGarbage();
+  EXPECT_EQ(vm->live_objects(), settled);
+  EXPECT_DOUBLE_EQ(context.GetGlobal("n").AsNumber(), 100'001.0);
+}
+
+TEST(VmGc, ClosureWrappersKeepTheirClosureAndOutliveTheVm) {
+  Value counter;
+  Interpreter detached;
+  std::vector<Value> none;
+  {
+    Context context;
+    ASSERT_TRUE(context
+                    .Load(R"(
+      function make() { var k = 41; return function () { k += 1; return k; }; }
+    )")
+                    .ok());
+    auto made = context.Call("make", {});
+    ASSERT_TRUE(made.ok() && made->is_function());
+    counter = *made;
+    Vm* vm = context.vm();
+    const size_t pinned = (vm->CollectGarbage(), vm->live_objects());
+    // Reachable only through the wrapper, and still alive.
+    auto r = counter.AsHostFunction()->fn(none, detached);
+    ASSERT_TRUE(r.ok()) << r.error().ToString();
+    EXPECT_EQ(r->AsNumber(), 42.0);
+    vm->CollectGarbage();
+    r = counter.AsHostFunction()->fn(none, detached);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->AsNumber(), 43.0);
+    // A second wrapper of the same closure adds a pin; dropping the
+    // first leaves the closure alive.
+    Value copy = counter;
+    counter = Value();
+    vm->CollectGarbage();
+    EXPECT_EQ(vm->live_objects(), pinned);
+    counter = copy;
+  }
+  // The Vm is gone: the wrapper fails cleanly instead of touching it,
+  // and its destruction later unpins nothing.
+  auto r = counter.AsHostFunction()->fn(none, detached);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().message(),
+            "script function called after its module was unloaded");
+}
+
+TEST(VmGc, DroppedWrappersReleaseTheirClosure) {
+  Context context;
+  ASSERT_TRUE(context
+                  .Load(R"(
+    function make() { var box = { k: [1, 2, 3] }; return function () { return box; }; }
+  )")
+                  .ok());
+  Vm* vm = context.vm();
+  vm->CollectGarbage();
+  const size_t empty = vm->live_objects();
+  {
+    auto made = context.Call("make", {});
+    ASSERT_TRUE(made.ok());
+    vm->CollectGarbage();
+    EXPECT_GT(vm->live_objects(), empty);
+  }
+  vm->CollectGarbage();
+  EXPECT_EQ(vm->live_objects(), empty);
+}
+
 }  // namespace
 }  // namespace vp::script

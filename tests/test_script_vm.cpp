@@ -10,10 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "apps/fitness.hpp"
+#include "core/orchestrator.hpp"
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "script/context.hpp"
 #include "script/convert.hpp"
+#include "sim/cluster.hpp"
 
 namespace vp::script {
 namespace {
@@ -452,6 +455,380 @@ TEST(VmEquivalence, ScriptClosuresEscapeToTheHostAndBack) {
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ(r2->AsNumber(), 2.0);
   EXPECT_DOUBLE_EQ(context.GetGlobal("count").AsNumber(), 2.0);
+}
+
+// ------------------------------------- direct JSON conversions in the VM
+
+/// A Result<json::Value> as one comparable line: the JSON text or the
+/// error.
+std::string Show(const Result<json::Value>& j) {
+  return j.ok() ? "json " + json::Write(*j) : "error " + j.error().ToString();
+}
+
+std::string Show(const Result<Value>& v) {
+  return v.ok() ? "value " + v->ToDisplayString()
+                : "error " + v.error().ToString();
+}
+
+/// Values with and without a JSON form. Each program defines `v`.
+const std::vector<std::string>& ExportCorpus() {
+  static const std::vector<std::string> corpus = {
+      // Nesting and insertion order, literal and dynamic keys.
+      R"(var v = { b: 1, a: [1, 2, { c: "x" }], z: null };)",
+      R"(var v = {}; v["z"] = 1; v.a = 2; v["m" + 1] = 3; v.z = 4;)",
+      // Escaped and non-ASCII strings.
+      R"(var v = ["q\"uote", "back\\slash", "nl\n", "tab\t", "é", JSON.parse("\"\\u0001\"")];)",
+      // Numbers JSON has no literal for, and the edges of doubles.
+      R"(var v = [0 / 0, 1 / 0, -1 / 0, -0, 1e300, 5e-324, 123456789012345678, 0.1];)",
+      // undefined in arrays and objects.
+      R"(var v = [undefined, 1, { u: undefined, n: null }];)",
+      // Shared sub-objects expand at every use.
+      R"(var s = { k: [1] }; var v = { a: s, b: [s, s], c: { d: s } };)",
+      // Empty containers and scalars.
+      R"(var v = [[], {}, [[]], ""];)",
+      R"(var v = "plain";)",
+      R"(var v = true;)",
+      R"(var v = null;)",
+      R"(var v;)",
+      // Keys without an interned id (JSON.parse) next to ones with.
+      R"(var v = JSON.parse("{\"a\":1,\"b\":[true,false,null]}"); v.c = v.b;)",
+      // Exactly at the nesting limit.
+      R"(var v = 1; for (var i = 0; i < 512; i++) v = [v];)",
+      R"(var v = 1; for (var i = 0; i < 512; i++) v = { k: v };)",
+      // No JSON form: the first failure in walk order wins.
+      R"(var v = { a: 1 }; v.self = v;)",
+      R"(var v = [1]; v.push(v);)",
+      R"(var v = [function f() {}, 1];)",
+      R"(var v = { m: Math.floor };)",
+      R"(var v = [[].push];)",
+      R"(var c = [1]; c.push(c); var v = [function f() {}, c];)",
+      R"(var c = [1]; c.push(c); var v = [c, function f() {}];)",
+      // Too deep along the first-visit path, and only along a shared
+      // path (every container first reached shallowly).
+      R"(var v = 1; for (var i = 0; i < 513; i++) v = [v];)",
+      R"(var list = []; var c = {}; for (var i = 0; i < 600; i++) { list.push(c); c = { next: c }; }
+         var v = { all: list };)",
+  };
+  return corpus;
+}
+
+TEST(VmJson, ExportMatchesTheBoxedRoute) {
+  for (const std::string& program : ExportCorpus()) {
+    Context context;
+    ASSERT_TRUE(context.Load(program).ok()) << program;
+    Vm* vm = context.vm();
+    const VpValue v = vm->GlobalValue("v");
+    auto boxed = vm->VmToBoxed(v);
+    if (!boxed.ok()) {
+      // Cyclic or too deep to box: ExportJson fails too.
+      EXPECT_FALSE(vm->ExportJson(v).ok()) << program;
+      continue;
+    }
+    EXPECT_EQ(Show(vm->ExportJson(v)), Show(ScriptToJson(*boxed))) << program;
+  }
+}
+
+TEST(VmJson, JsonHostFunctionsSeeWhatBoxedOnesSerialize) {
+  // `send` is a boxed host function serializing its argument with
+  // ScriptToJson; `send_json` is the same as a JSON host function. Same
+  // text, or the same error, for every value.
+  for (const std::string& program : ExportCorpus()) {
+    Context context;
+    context.RegisterJsonHostFunction(
+        "send_json",
+        [](std::vector<JsonArg>& args, Interpreter&) -> JsonResult {
+          if (!args[0].json.ok()) return args[0].json.error();
+          return JsonResult(json::Value(json::Write(*args[0].json)));
+        });
+    // One line: errors carry the line of the call.
+    LoadWithSend(context, program + R"(
+      function via_boxed() { return send(v); } function via_json() { return send_json(v); }
+    )");
+    EXPECT_EQ(Show(context.Call("via_json", {})),
+              Show(context.Call("via_boxed", {})))
+        << program;
+  }
+}
+
+/// Structural identity of two VM values: types, number bits, strings,
+/// and object entries with their key ids.
+bool SameVmValue(VpValue a, VpValue b) {
+  if (!a.is_heap() || !b.is_heap()) return a.bits == b.bits;
+  const GcObj* x = a.AsHeap();
+  const GcObj* y = b.AsHeap();
+  if (x->type != y->type) return false;
+  switch (x->type) {
+    case GcType::kString:
+      return static_cast<const GcString*>(x)->text ==
+             static_cast<const GcString*>(y)->text;
+    case GcType::kArray: {
+      const auto& p = static_cast<const GcArray*>(x)->items;
+      const auto& q = static_cast<const GcArray*>(y)->items;
+      if (p.size() != q.size() || p.capacity() != q.capacity()) return false;
+      for (size_t i = 0; i < p.size(); ++i) {
+        if (!SameVmValue(p[i], q[i])) return false;
+      }
+      return true;
+    }
+    case GcType::kObject: {
+      const auto& p = static_cast<const GcObject*>(x)->items;
+      const auto& q = static_cast<const GcObject*>(y)->items;
+      if (p.size() != q.size() || p.capacity() != q.capacity()) return false;
+      for (size_t i = 0; i < p.size(); ++i) {
+        if (p[i].key_id != q[i].key_id || p[i].key != q[i].key ||
+            !SameVmValue(p[i].value, q[i].value)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    default:
+      return false;  // JSON never yields functions
+  }
+}
+
+TEST(VmJson, ImportMatchesTheBoxedRoute) {
+  std::vector<std::string> corpus = {
+      R"({"b":1,"a":[1,2,{"c":"x"}],"z":null})",
+      R"([])", R"({})", R"("str")", R"(12.5)", R"(true)", R"(null)",
+      R"([[[[1]]],{"k":{"k":{"k":[]}}}])",
+      R"(["q\"uote\\back\nnl\u0001\u00e9", "long string past the small-string buffer"])",
+      R"([1e308,-0,5e-324,0.1,-17])",
+      R"({"a":1,"a":2,"b":[{"a":3}]})",
+  };
+  // The activity window: 15 poses as the pose service returns them.
+  json::Value window = json::Value::MakeObject();
+  for (int p = 0; p < 15; ++p) {
+    json::Value pose = json::Value::MakeObject();
+    for (int k = 0; k < 17; ++k) {
+      json::Value kp = json::Value::MakeObject();
+      kp["x"] = json::Value(p * 3.25 + k);
+      kp["y"] = json::Value(k * 1.5);
+      kp["detected"] = json::Value(k % 3 != 0);
+      kp["confidence"] = json::Value(0.5 + k / 40.0);
+      pose["keypoints"].PushBack(std::move(kp));
+    }
+    pose["num_detected"] = json::Value(12);
+    window["poses"].PushBack(std::move(pose));
+  }
+  corpus.push_back(json::Write(window));
+
+  for (const std::string& text : corpus) {
+    auto j = json::Parse(text);
+    ASSERT_TRUE(j.ok()) << text;
+    Vm direct(InterpreterLimits{}, nullptr);
+    Vm boxed(InterpreterLimits{}, nullptr);
+    const VpValue a = direct.ImportJson(*j);
+    const VpValue b = boxed.BoxedToVm(JsonToScript(*j));
+    EXPECT_EQ(direct.ToDisplayString(a), boxed.ToDisplayString(b)) << text;
+    EXPECT_TRUE(SameVmValue(a, b)) << text;
+    EXPECT_EQ(direct.live_objects(), boxed.live_objects()) << text;
+    EXPECT_EQ(direct.bytes_allocated(), boxed.bytes_allocated()) << text;
+    // Byte accounting after a collection reads the final capacities.
+    TempRootScope keep_a(direct);
+    TempRootScope keep_b(boxed);
+    keep_a.Pin(a);
+    keep_b.Pin(b);
+    direct.CollectGarbage();
+    boxed.CollectGarbage();
+    EXPECT_EQ(direct.bytes_allocated(), boxed.bytes_allocated()) << text;
+  }
+}
+
+// ------------------------------ error text and check order at the host
+
+TEST(VmHostBoundary, JsonHostFunctionsKeepErrorTextAndCheckOrder) {
+  // A bad name or argument is reported before a payload that has no
+  // JSON form, except a payload too deep to leave the VM at all, which
+  // fails first. The expected lines were recorded from the boxed route
+  // these functions took before they took JSON.
+  const char* probe = R"JS(
+    var errors = [];
+    function cyc() { var o = { k: 1 }; o.self = o; return o; }
+    function cyc_list() { var l = [1]; l.push(l); return l; }
+    function deep() { var a = 1; for (var i = 0; i < 600; i++) a = [a]; return { d: a }; }
+    function shared_deep() {
+      var list = []; var c = {};
+      for (var i = 0; i < 600; i++) { list.push(c); c = { next: c }; }
+      return { all: list };
+    }
+    function fn() { return { f: function g() {} }; }
+    function probe(label, f) {
+      try { f(); errors.push(label + ": ok"); }
+      catch (e) { errors.push(label + ": " + e.message); }
+    }
+    function init() {
+      probe("svc cyclic", function () { call_service("pose_detector", cyc()); });
+      probe("svc name, cyclic", function () { call_service(1, cyc()); });
+      probe("svc undeclared, cyclic", function () { call_service("nope", cyc()); });
+      probe("svc deep", function () { call_service("pose_detector", deep()); });
+      probe("svc name, deep", function () { call_service(1, deep()); });
+      probe("svc shared deep", function () { call_service("pose_detector", shared_deep()); });
+      probe("svc name, shared deep", function () { call_service(1, shared_deep()); });
+      probe("svc function", function () { call_service("pose_detector", fn()); });
+      probe("svc name, function", function () { call_service(1, fn()); });
+      probe("svc third arg deep", function () { call_service(1, {}, deep()); });
+      probe("mod cyclic", function () { call_module("b_module", cyc_list()); });
+      probe("mod name, cyclic", function () { call_module(null, cyc()); });
+      probe("mod no edge, cyclic", function () { call_module("a_module", cyc()); });
+      probe("mod deep", function () { call_module("b_module", deep()); });
+      probe("mod name, deep", function () { call_module(null, deep()); });
+      probe("mod function", function () { call_module("b_module", fn()); });
+      probe("timer cyclic", function () { set_timer(5, cyc()); });
+      probe("timer ms, cyclic", function () { set_timer(-1, cyc()); });
+      probe("timer cyclic array", function () { set_timer(5, cyc_list()); });
+      probe("timer deep array", function () { set_timer(5, deep().d); });
+      probe("timer ms, deep", function () { set_timer("x", deep()); });
+      probe("timer function", function () { set_timer(5, fn()); });
+      probe("stringify cyclic", function () { JSON.stringify(cyc()); });
+      probe("stringify deep", function () { JSON.stringify(deep()); });
+      probe("stringify shared deep", function () { JSON.stringify(shared_deep()); });
+      probe("stringify function", function () { JSON.stringify(fn()); });
+      probe("parse number", function () { JSON.parse(5); });
+    }
+    function event_received(m) {}
+  )JS";
+  auto cluster = sim::MakeHomeTestbed();
+  core::Orchestrator orchestrator(cluster.get());
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "probe",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["a_module"] },
+      { "name": "a_module", "include": "Probe.js", "signal_source": true,
+        "service": ["pose_detector"], "next_module": ["b_module"] },
+      { "name": "b_module", "code": "function event_received(m) {}" }
+    ]
+  })CFG",
+                                            core::MapResolver({{"Probe.js",
+                                                                probe}}));
+  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.error().ToString();
+  core::ModuleRuntime* a = (*deployment)->FindModule("a_module");
+  ASSERT_NE(a, nullptr);
+  const Value errors = a->context().GetGlobal("errors");
+  ASSERT_TRUE(errors.is_array());
+  std::vector<std::string> got;
+  for (const Value& line : *errors.AsArray()) got.push_back(line.AsString());
+  const std::vector<std::string> expected = {
+      "svc cyclic: script:17: cannot serialize a cyclic value to JSON",
+      "svc name, cyclic: script:18: call_service(service, message): service name needed",
+      "svc undeclared, cyclic: script:19: module 'a_module' does not declare service 'nope' in its config",
+      "svc deep: script:20: cannot pass a value nested deeper than 512 levels to the host",
+      "svc name, deep: script:21: cannot pass a value nested deeper than 512 levels to the host",
+      "svc shared deep: script:22: cannot serialize a value nested deeper than 512 levels to JSON",
+      "svc name, shared deep: script:23: call_service(service, message): service name needed",
+      "svc function: script:24: cannot serialize a function to JSON",
+      "svc name, function: script:25: call_service(service, message): service name needed",
+      "svc third arg deep: script:26: cannot pass a value nested deeper than 512 levels to the host",
+      "mod cyclic: script:27: cannot serialize a cyclic value to JSON",
+      "mod name, cyclic: script:28: call_module(module, message): module name needed",
+      "mod no edge, cyclic: script:29: module 'a_module' has no edge to 'a_module' (declare it in next_module)",
+      "mod deep: script:30: cannot pass a value nested deeper than 512 levels to the host",
+      "mod name, deep: script:31: cannot pass a value nested deeper than 512 levels to the host",
+      "mod function: script:32: cannot serialize a function to JSON",
+      "timer cyclic: script:33: cannot serialize a cyclic value to JSON",
+      "timer ms, cyclic: script:34: set_timer: ms must be in [0, 3.6e6]",
+      "timer cyclic array: ok",
+      "timer deep array: script:36: cannot pass a value nested deeper than 512 levels to the host",
+      "timer ms, deep: script:37: cannot pass a value nested deeper than 512 levels to the host",
+      "timer function: script:38: cannot serialize a function to JSON",
+      "stringify cyclic: script:39: cannot serialize a cyclic value to JSON",
+      "stringify deep: script:40: cannot pass a value nested deeper than 512 levels to the host",
+      "stringify shared deep: script:41: cannot serialize a value nested deeper than 512 levels to JSON",
+      "stringify function: script:42: cannot serialize a function to JSON",
+      "parse number: script:43: JSON.parse needs a string",
+  };
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(a->stats().service_calls, 0u);
+  EXPECT_EQ(a->stats().module_sends, 0u);
+}
+
+TEST(VmHostBoundary, JsonHostFunctionsServeBoxedCallers) {
+  // Read out of the VM, JSON.stringify is a boxed host function like
+  // any other; it converts through ScriptToJson / JsonToScript.
+  Context context;
+  ASSERT_TRUE(context.Load("var ok = 1;").ok());
+  const Value json_ns = context.GetGlobal("JSON");
+  ASSERT_TRUE(json_ns.is_object());
+  const Value* stringify = json_ns.AsObject()->Find("stringify");
+  const Value* parse = json_ns.AsObject()->Find("parse");
+  ASSERT_TRUE(stringify != nullptr && stringify->is_function());
+  ASSERT_TRUE(parse != nullptr && parse->is_function());
+  auto payload = Value::MakeObject();
+  payload.AsObject()->Set("b", Value::MakeArray());
+  payload.AsObject()->Set("a", Value(2.5));
+  std::vector<Value> args = {payload};
+  auto text = stringify->AsHostFunction()->fn(args, context.interpreter());
+  ASSERT_TRUE(text.ok()) << text.error().ToString();
+  EXPECT_EQ(text->AsString(), R"({"b":[],"a":2.5})");
+  std::vector<Value> parse_args = {*text};
+  auto back = parse->AsHostFunction()->fn(parse_args, context.interpreter());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->ToDisplayString(), "{b: [], a: 2.5}");
+  payload.AsObject()->Set("self", payload);
+  auto cyclic = stringify->AsHostFunction()->fn(args, context.interpreter());
+  payload.AsObject()->Clear();  // free the cycle
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.error().message(),
+            "cannot serialize a cyclic value to JSON");
+}
+
+TEST(VmHostBoundary, CyclicResultsFailInsteadOfLeaking) {
+  // A cyclic value handed to C++ as boxed shared_ptrs leaks unless the
+  // caller breaks the cycle, which leak detection (the asan job) reports.
+  // Call fails instead and GetGlobal reads undefined, as for values
+  // nested too deep.
+  Context context;
+  ASSERT_TRUE(context
+                  .Load(R"(
+    var loop = { n: 1 }; loop.self = loop;
+    var ring = [1]; ring.push([ring]);
+    var shared = { s: [1] }; shared.t = shared.s;
+    function make_loop() { var o = { n: 2 }; o.me = [o]; return o; }
+    function get_shared() { return shared; }
+  )")
+                  .ok());
+  auto r = context.Call("make_loop", {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), StatusCode::kScriptError);
+  EXPECT_EQ(r.error().message(), "cannot pass a cyclic value to the host");
+  EXPECT_TRUE(context.GetGlobal("loop").is_undefined());
+  EXPECT_TRUE(context.GetGlobal("ring").is_undefined());
+  // Sharing without a cycle still crosses.
+  auto shared = context.Call("get_shared", {});
+  ASSERT_TRUE(shared.ok()) << shared.error().ToString();
+  EXPECT_EQ(shared->ToDisplayString(), "{s: [1], t: [1]}");
+  EXPECT_EQ(shared->AsObject()->Find("s")->AsArray(),
+            shared->AsObject()->Find("t")->AsArray());
+}
+
+TEST(VmHostBoundary, EventPayloadsArriveAsJson) {
+  Context context;
+  ASSERT_TRUE(context
+                  .Load(R"(
+    var seen = "";
+    function event_received(m) {
+      seen = m.frame_id + ":" + m.pose.keypoints.length + ":" + JSON.stringify(m);
+      return m.frame_id;
+    }
+  )")
+                  .ok());
+  auto payload = json::Parse(
+      R"({"frame_id":7,"pose":{"keypoints":[{"x":1,"y":2}],"ok":true}})");
+  ASSERT_TRUE(payload.ok());
+  auto r = context.CallJson("event_received", *payload);
+  ASSERT_TRUE(r.ok()) << r.error().ToString();
+  EXPECT_EQ(r->AsNumber(), 7.0);
+  EXPECT_EQ(context.GetGlobal("seen").AsString(),
+            R"(7:1:{"frame_id":7,"pose":{"keypoints":[{"x":1,"y":2}],)"
+            R"("ok":true}})");
+  auto missing = context.CallJson("absent", *payload);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code(), StatusCode::kNotFound);
 }
 
 // --------------------------------------------------- checkpoint / restore
