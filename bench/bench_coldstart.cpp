@@ -217,12 +217,16 @@ Ladder MeasureLadder(int iterations) {
     ladder.hot_us = BestBatchUs(
         iterations,
         [&] {
-          if (pool.Acquire(kModuleSource, 1) == nullptr) std::abort();
+          if (pool.Acquire(kModuleSource, {.random_seed = 1}) == nullptr) {
+            std::abort();
+          }
         },
         // Refill is untimed: each batch starts with a full pool.
         [&] {
           while (pool.size() < static_cast<size_t>(iterations)) {
-            if (!pool.Prewarm(kModuleSource, 1).ok()) std::abort();
+            if (!pool.Prewarm(kModuleSource, {.random_seed = 1}).ok()) {
+              std::abort();
+            }
           }
         });
   }

@@ -15,32 +15,14 @@ ModuleRuntime::ModuleRuntime(Orchestrator* orchestrator,
     : orchestrator_(orchestrator), pipeline_(pipeline), spec_(spec),
       device_(std::move(device)), address_(std::move(address)) {}
 
-Status ModuleRuntime::Initialize(
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions) {
-  script::ContextOptions options;
-  options.limits = orchestrator_->options().script_limits;
-  options.random_seed =
-      orchestrator_->options().seed ^ std::hash<std::string>{}(spec_->name);
-  context_ = std::make_unique<script::Context>(options);
-  return BindAndStart(extra_host_functions, /*load=*/true);
-}
-
-Status ModuleRuntime::InitializeWith(
-    std::unique_ptr<script::Context> context,
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions) {
-  context_ = std::move(context);
-  // The pool context already ran Load for this module's source, so the
+Status ModuleRuntime::Initialize(std::unique_ptr<script::Context> pooled) {
+  // A pooled context already ran Load for this module's source, so its
   // engine is live; globals/host functions defined below import into it
   // directly (Context forwards post-Load definitions to the engine).
-  return BindAndStart(extra_host_functions, /*load=*/false);
-}
-
-Status ModuleRuntime::BindAndStart(
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions,
-    bool load) {
+  const bool load = pooled == nullptr;
+  context_ = load ? std::make_unique<script::Context>(
+                        orchestrator_->ModuleContextOptions(spec_->name))
+                  : std::move(pooled);
   context_->DefineGlobal("MODULE_NAME", script::Value(spec_->name));
   context_->DefineGlobal("DEVICE_NAME", script::Value(device_));
   context_->DefineGlobal("PIPELINE_NAME",
@@ -131,8 +113,11 @@ Status ModuleRuntime::BindAndStart(
         return script::JsonResult(json::Value(true));
       });
 
-  for (const auto& [name, fn] : extra_host_functions) {
-    context_->RegisterHostFunction(name, fn);
+  if (auto it = pipeline_->extra_host_functions_.find(spec_->name);
+      it != pipeline_->extra_host_functions_.end()) {
+    for (const auto& [name, fn] : it->second) {
+      context_->RegisterHostFunction(name, fn);
+    }
   }
 
   if (load) VP_RETURN_IF_ERROR(context_->Load(spec_->code));

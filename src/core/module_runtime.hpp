@@ -55,21 +55,12 @@ class ModuleRuntime {
                 const ModuleSpec* spec, std::string device,
                 net::Address address);
 
-  /// Build the script context, bind host functions, load the module
-  /// code and run its init().
-  Status Initialize(
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions);
-
-  /// Hot-start variant: adopt `context` — a pre-built, pre-Loaded
-  /// context from the lifecycle warm pool (same source, same seed as
-  /// Initialize would produce) — bind host functions and run init(),
-  /// skipping parse/resolve/compile AND Load entirely. Host functions
-  /// registered after Load import directly into the live engine.
-  Status InitializeWith(
-      std::unique_ptr<script::Context> context,
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions);
+  /// Build the script context, bind host functions (the Table-1 API
+  /// plus the pipeline's extras for this module), load the module code
+  /// and run its init(). Hot start: adopt `pooled` — a pre-Loaded
+  /// context from the lifecycle warm pool, built from the same
+  /// options — and skip parse/resolve/compile AND Load entirely.
+  Status Initialize(std::unique_ptr<script::Context> pooled = nullptr);
 
   /// Fabric delivery entry point.
   void OnMessage(net::Message message);
@@ -116,13 +107,6 @@ class ModuleRuntime {
   void NoteServiceCallExhausted() { service_call_exhausted_ = true; }
 
  private:
-  /// Shared tail of Initialize / InitializeWith: define the module
-  /// globals, bind host functions, optionally Load, and run init().
-  Status BindAndStart(
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions,
-      bool load);
-
   void ProcessMessage(net::Message message);
   void ExecuteHandler(net::Message message);
   void FinishEvent();

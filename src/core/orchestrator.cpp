@@ -47,6 +47,14 @@ std::optional<media::FrameId> FrameIdOf(const json::Value& payload) {
   return static_cast<media::FrameId>(id->AsDouble());
 }
 
+/// The fabric's ALREADY_EXISTS, checked before anything is committed.
+Status RequireUnbound(const net::Fabric& fabric,
+                      const net::Address& address) {
+  if (!fabric.IsBound(address)) return Status::Ok();
+  return Status(StatusCode::kAlreadyExists,
+                "address " + address.ToString() + " already bound");
+}
+
 }  // namespace
 
 ModuleRuntime* PipelineDeployment::FindModule(const std::string& name) {
@@ -549,27 +557,27 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
     }
     deployment->addresses_[m.name] = net::Address{device, port};
   }
+  deployment->camera_address_ =
+      net::Address{deployment->source_device_, AllocatePort()};
+  VP_RETURN_IF_ERROR_R(
+      RequireUnbound(*fabric_, deployment->camera_address_));
 
-  // 3. Script module runtimes.
-  deployment->extra_host_functions_ = args.extra_host_functions;
+  // 3. Script module runtimes: fresh epoch 1, no state, bound at once.
+  //    A failure binds nothing; the half-built deployment drains with
+  //    the undeployed ones.
+  deployment->extra_host_functions_ = std::move(args.extra_host_functions);
+  std::vector<ModulePlacement> placements;
   for (const ModuleSpec& m : pspec.modules) {
     if (m.type != ModuleType::kScript) continue;
-    const std::string& device = pplan.module_device.at(m.name);
-    auto runtime = std::make_unique<ModuleRuntime>(
-        this, deployment.get(), &m, device, deployment->addresses_[m.name]);
-    ModuleRuntime* raw = runtime.get();
-    VP_RETURN_IF_ERROR_R(fabric_->Bind(
-        deployment->addresses_[m.name],
-        [raw](net::Message message, net::Responder) {
-          raw->OnMessage(std::move(message));
-        }));
-    std::vector<std::pair<std::string, script::HostFunction>> extras;
-    if (auto it = args.extra_host_functions.find(m.name);
-        it != args.extra_host_functions.end()) {
-      extras = it->second;
-    }
-    VP_RETURN_IF_ERROR_R(runtime->Initialize(extras));
-    deployment->modules_.push_back(std::move(runtime));
+    ModulePlacement& p = placements.emplace_back();
+    p.spec = &m;
+    p.device = pplan.module_device.at(m.name);
+    p.address = deployment->addresses_.at(m.name);
+  }
+  if (Status placed = PlaceModules(*deployment, std::move(placements));
+      !placed.ok()) {
+    undeployed_.push_back({std::move(deployment), cluster_->Now()});
+    return placed.error();
   }
 
   // 4. Camera (source module + native video-source service).
@@ -586,9 +594,6 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
   media::SyntheticVideoSource video_source(std::move(args.workload),
                                            pspec.source.fps, scene,
                                            args.seed);
-
-  deployment->camera_address_ =
-      net::Address{deployment->source_device_, AllocatePort()};
 
   PipelineDeployment* raw_deployment = deployment.get();
   std::vector<std::string> targets = source->next_modules;
@@ -622,12 +627,7 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
       std::move(video_source), &deployment->metrics_, std::move(emit),
       options_.camera_options);
 
-  CameraDriver* camera = deployment->camera_.get();
-  VP_RETURN_IF_ERROR_R(fabric_->Bind(
-      deployment->camera_address_,
-      [camera](net::Message message, net::Responder) {
-        if (message.type() == "credit") camera->OnCredit(message.seq());
-      }));
+  VP_RETURN_IF_ERROR_R(BindCameraCredit(*deployment));
 
   VP_INFO("orchestrator") << "deployed pipeline '" << pspec.name
                           << "': " << pplan.ToString();
@@ -990,77 +990,33 @@ Status Orchestrator::MigrateModule(PipelineDeployment& pipeline,
                   "no script module '" + module + "' in pipeline '" +
                       pipeline.spec().name + "'");
   }
-  const ModuleSpec* spec = pipeline.spec().FindModule(module);
   if (old_runtime->device() == target_device) return Status::Ok();
 
-  // Snapshot, then cut the old instance off the fabric. Messages that
-  // arrive before the new instance is up are dropped (watchdog
-  // recovers the credit).
-  const json::Value snapshot = old_runtime->context().SnapshotState();
+  // A synchronous same-lineage handoff: the new instance keeps the
+  // epoch (no fence — in-flight frames stay valid) and takes over when
+  // the snapshot arrives. Messages reaching neither instance during the
+  // cutover are dropped; the watchdog recovers the credit.
+  const ModuleCheckpoint snapshot{old_runtime->context().SnapshotState(),
+                                  cluster_->Now(), old_runtime->epoch()};
   const std::string old_device = old_runtime->device();
-  fabric_->Unbind(old_runtime->address());
-
-  const net::Address new_address{target_device, AllocatePort()};
-  auto runtime = std::make_unique<ModuleRuntime>(
-      this, &pipeline, spec, target_device, new_address);
-  std::vector<std::pair<std::string, script::HostFunction>> extras;
-  if (auto it = pipeline.extra_host_functions_.find(module);
-      it != pipeline.extra_host_functions_.end()) {
-    extras = it->second;
-  }
-  VP_RETURN_IF_ERROR(runtime->Initialize(extras));
-  VP_RETURN_IF_ERROR(runtime->context().RestoreState(snapshot));
-  // Migration is a synchronous same-lineage handoff: the new instance
-  // keeps the epoch (no fence — in-flight frames stay valid).
-  runtime->set_epoch(old_runtime->epoch());
-
-  ModuleRuntime* raw = runtime.get();
-  // Ship the state over the network; the new instance goes live (binds
-  // its endpoint) when the snapshot arrives. Reliable: a transient
-  // partition or corrupted transfer must delay the cutover, not leave
-  // the module permanently unbound.
-  net::Message state_transfer("migrate", snapshot);
-  const size_t transfer_bytes = state_transfer.ByteSize();
-  cluster_->network().SendReliable(
-      old_device, target_device, transfer_bytes,
-      [this, raw, new_address] {
-        Status bound = fabric_->Bind(
-            new_address, [raw](net::Message message, net::Responder) {
-              raw->OnMessage(std::move(message));
-            });
-        if (!bound.ok()) {
-          VP_ERROR("orchestrator")
-              << "migration bind failed: " << bound.ToString();
-        }
-      });
-
-  // Retire the old runtime (kept alive: an in-flight handler may still
-  // be executing on it) and route the module name to the new one.
-  for (auto& owned : pipeline.modules_) {
-    if (owned.get() == old_runtime) {
-      pipeline.retired_modules_.push_back(
-          {std::move(owned), cluster_->Now()});
-      owned = std::move(runtime);
-      break;
-    }
-  }
-  pipeline.addresses_[module] = new_address;
-  pipeline.plan_.module_device[module] = target_device;
+  std::vector<ModulePlacement> placement(1);
+  ModulePlacement& p = placement[0];
+  p.spec = &old_runtime->spec();
+  p.device = target_device;
+  p.address = net::Address{target_device, AllocatePort()};
+  p.epoch = old_runtime->epoch();
+  p.state = &snapshot;
+  p.live_handoff = true;
+  p.ship_from = old_device;
+  VP_RETURN_IF_ERROR(PlaceModules(pipeline, std::move(placement)));
   VP_INFO("orchestrator") << "migrated " << module << ": " << old_device
-                          << " → " << target_device << " ("
-                          << transfer_bytes << " B of state)";
+                          << " → " << target_device;
   return Status::Ok();
 }
 
 Status Orchestrator::Undeploy(PipelineDeployment* pipeline) {
-  auto it = std::find_if(pipelines_.begin(), pipelines_.end(),
-                         [pipeline](const auto& owned) {
-                           return owned.get() == pipeline;
-                         });
-  if (it == pipelines_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "pipeline is not currently deployed");
-  }
+  auto it = FindDeployed(pipeline);
+  if (!it.ok()) return it.status();
   pipeline->Stop();
   fabric_->Unbind(pipeline->camera_address());
   for (const auto& [module, address] : pipeline->addresses_) {
@@ -1068,20 +1024,13 @@ Status Orchestrator::Undeploy(PipelineDeployment* pipeline) {
   }
   VP_INFO("orchestrator") << "undeployed pipeline '"
                           << pipeline->spec().name << "'";
-  undeployed_.push_back({std::move(*it), cluster_->Now()});
-  pipelines_.erase(it);
+  undeployed_.push_back({std::move(**it), cluster_->Now()});
+  pipelines_.erase(*it);
   return Status::Ok();
 }
 
 Status Orchestrator::HibernatePipeline(PipelineDeployment* pipeline) {
-  auto it = std::find_if(pipelines_.begin(), pipelines_.end(),
-                         [pipeline](const auto& owned) {
-                           return owned.get() == pipeline;
-                         });
-  if (it == pipelines_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "pipeline is not currently deployed");
-  }
+  if (auto it = FindDeployed(pipeline); !it.ok()) return it.status();
   if (pipeline->hibernated_) return Status::Ok();
   if (pipeline->paused_by_failure_) {
     return Status(StatusCode::kFailedPrecondition,
@@ -1170,14 +1119,7 @@ Status Orchestrator::HibernatePipeline(PipelineDeployment* pipeline) {
 
 Status Orchestrator::WakePipeline(PipelineDeployment* pipeline,
                                   const ContextProvider& contexts) {
-  auto it = std::find_if(pipelines_.begin(), pipelines_.end(),
-                         [pipeline](const auto& owned) {
-                           return owned.get() == pipeline;
-                         });
-  if (it == pipelines_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "pipeline is not currently deployed");
-  }
+  if (auto it = FindDeployed(pipeline); !it.ok()) return it.status();
   if (!pipeline->hibernated_) return Status::Ok();
 
   // Preflight: every device the placement needs must be up, or the
@@ -1202,78 +1144,35 @@ Status Orchestrator::WakePipeline(PipelineDeployment* pipeline,
   // Rebuild the module runtimes in spec order (same as Deploy). Each
   // wake starts a new placement epoch — anything a pre-hibernation
   // zombie still emits is fenced — but REUSES the old address, so the
-  // camera's emit closure and the port layout are untouched.
-  const TimePoint now = cluster_->Now();
+  // camera's emit closure and the port layout are untouched. Bound at
+  // once: the state never left the home. A pooled, pre-Loaded context
+  // skips parse + resolve + compile + Load.
+  std::vector<ModulePlacement> placements;
   for (const ModuleSpec& m : pipeline->spec_.modules) {
     if (m.type != ModuleType::kScript) continue;
-    const std::string& device = pipeline->plan_.module_device.at(m.name);
-    const uint64_t new_epoch = pipeline->module_epoch(m.name) + 1;
-    pipeline->module_epochs_[m.name] = new_epoch;
-    const net::Address address = pipeline->addresses_.at(m.name);
-
-    auto runtime = std::make_unique<ModuleRuntime>(this, pipeline, &m,
-                                                   device, address);
-    runtime->set_epoch(new_epoch);
-    std::vector<std::pair<std::string, script::HostFunction>> extras;
-    if (auto eit = pipeline->extra_host_functions_.find(m.name);
-        eit != pipeline->extra_host_functions_.end()) {
-      extras = eit->second;
+    ModulePlacement& p = placements.emplace_back();
+    p.spec = &m;
+    p.device = pipeline->plan_.module_device.at(m.name);
+    p.address = pipeline->addresses_.at(m.name);
+    p.epoch = pipeline->module_epoch(m.name) + 1;
+    if (auto it = pipeline->hibernation_checkpoints_.find(m.name);
+        it != pipeline->hibernation_checkpoints_.end()) {
+      p.state = &it->second;
     }
-    // Hot path: a pooled, pre-Loaded context skips parse + resolve +
-    // compile + Load. Cold path: full Initialize (which itself hits
-    // the shared program cache for the compile step).
-    std::unique_ptr<script::Context> pooled =
-        contexts ? contexts(m, device) : nullptr;
-    VP_RETURN_IF_ERROR(pooled != nullptr
-                           ? runtime->InitializeWith(std::move(pooled),
-                                                     extras)
-                           : runtime->Initialize(extras));
-
-    if (auto cit = pipeline->hibernation_checkpoints_.find(m.name);
-        cit != pipeline->hibernation_checkpoints_.end()) {
-      const ModuleCheckpoint& checkpoint = cit->second;
-      if (checkpoint.epoch + 1 < new_epoch) {
-        // A recovery ran between snapshot and wake: the snapshot would
-        // roll that state back. Start clean instead.
-        pipeline->metrics_.OnCheckpointRejectedStale();
-        VP_WARN("orchestrator")
-            << "wake of '" << m.name << "': hibernation checkpoint is "
-            << "stale (epoch " << checkpoint.epoch << " < current "
-            << (new_epoch - 1) << "), starting clean";
-      } else {
-        VP_RETURN_IF_ERROR(
-            runtime->context().RestoreState(checkpoint.state));
-        pipeline->metrics_.OnCheckpointRestored(
-            (now - checkpoint.taken_at).millis());
-      }
-    }
-
-    // Bind synchronously: unlike failure recovery, the state never
-    // left the home — there is no transfer to wait for.
-    ModuleRuntime* raw = runtime.get();
-    VP_RETURN_IF_ERROR(fabric_->Bind(
-        address, [raw](net::Message message, net::Responder) {
-          raw->OnMessage(std::move(message));
-        }));
-    pipeline->modules_.push_back(std::move(runtime));
+    if (contexts) p.pooled = contexts(m, p.device);
   }
+  VP_RETURN_IF_ERROR(PlaceModules(*pipeline, std::move(placements)));
 
   // Rewire the camera's credit endpoint and restart the source.
-  if (!fabric_->IsBound(pipeline->camera_address_)) {
-    CameraDriver* camera = pipeline->camera_.get();
-    VP_RETURN_IF_ERROR(fabric_->Bind(
-        pipeline->camera_address_,
-        [camera](net::Message message, net::Responder) {
-          if (message.type() == "credit") camera->OnCredit(message.seq());
-        }));
-  }
+  VP_RETURN_IF_ERROR(BindCameraCredit(*pipeline));
   pipeline->hibernated_ = false;
   pipeline->camera_->WriteOffOutstanding();
   pipeline->camera_->Start();
   ++wakes_;
   VP_INFO("orchestrator") << "woke pipeline '" << pipeline->spec_.name
                           << "' after "
-                          << (now - pipeline->hibernated_at_).millis()
+                          << (cluster_->Now() - pipeline->hibernated_at_)
+                                 .millis()
                           << " ms hibernated";
   return Status::Ok();
 }
@@ -1391,88 +1290,160 @@ Status Orchestrator::RestoreModule(PipelineDeployment& pipeline,
                   "no script module '" + module + "' in pipeline '" +
                       pipeline.spec_.name + "'");
   }
-  const std::string& from = ship_from.empty() ? target_device : ship_from;
-  // Unbind the dead instance's endpoint — unless its device is alive
-  // but unreachable (a partition, not a crash): the control plane
-  // cannot mutate state across a partition, so the old instance stays
-  // bound as a zombie until the heal fences it.
-  sim::Device* old_dev = cluster_->FindDevice(old_runtime->device());
-  const bool old_alive = old_dev != nullptr && old_dev->up();
-  if (!old_alive ||
-      cluster_->network().Reachable(from, old_runtime->device())) {
-    fabric_->Unbind(old_runtime->address());  // no-op if the crash got it
-  }
-
   // Fencing: the replacement starts a new placement epoch. Anything
   // the superseded instance still emits carries the old epoch and is
-  // dropped at receivers.
-  const uint64_t new_epoch = pipeline.module_epoch(module) + 1;
-  pipeline.module_epochs_[module] = new_epoch;
+  // dropped at receivers. The checkpointed state (or, with none, the
+  // tiny init message) ships from the controller; the fresh instance
+  // goes live on arrival.
+  std::vector<ModulePlacement> placement(1);
+  ModulePlacement& p = placement[0];
+  p.spec = spec;
+  p.device = target_device;
+  p.address = net::Address{target_device, AllocatePort()};
+  p.epoch = pipeline.module_epoch(module) + 1;
+  p.state = checkpoint;
+  p.ship_from = ship_from.empty() ? target_device : ship_from;
+  // Keep the dead instance's endpoint if its device is alive but
+  // unreachable (a partition, not a crash): the control plane cannot
+  // mutate state across a partition, so it stays bound as a zombie
+  // until the heal fences it.
+  sim::Device* old_dev = cluster_->FindDevice(old_runtime->device());
+  p.unbind_replaced = old_dev == nullptr || !old_dev->up() ||
+                      cluster_->network().Reachable(p.ship_from,
+                                                    old_runtime->device());
+  VP_RETURN_IF_ERROR(PlaceModules(pipeline, std::move(placement)));
+  VP_INFO("orchestrator") << "restored module '" << module << "' on "
+                          << target_device;
+  return Status::Ok();
+}
 
-  const net::Address new_address{target_device, AllocatePort()};
-  auto runtime = std::make_unique<ModuleRuntime>(
-      this, &pipeline, spec, target_device, new_address);
-  runtime->set_epoch(new_epoch);
-  std::vector<std::pair<std::string, script::HostFunction>> extras;
-  if (auto it = pipeline.extra_host_functions_.find(module);
-      it != pipeline.extra_host_functions_.end()) {
-    extras = it->second;
+Status Orchestrator::PlaceModules(PipelineDeployment& pipeline,
+                                  std::vector<ModulePlacement> placements) {
+  const TimePoint now = cluster_->Now();
+  auto stale = [](const ModulePlacement& p) {
+    return p.state != nullptr && p.state->epoch + 1 < p.epoch;
+  };
+
+  // 1. Fallible: build, initialize and restore every runtime. Nothing
+  // the pipeline, its peers or the fabric can observe changes here.
+  std::vector<std::unique_ptr<ModuleRuntime>> built;
+  Status status = Status::Ok();
+  for (ModulePlacement& p : placements) {
+    if (p.ship_from.empty()) {
+      status = RequireUnbound(*fabric_, p.address);
+      if (!status.ok()) break;
+    }
+    built.push_back(std::make_unique<ModuleRuntime>(
+        this, &pipeline, p.spec, p.device, p.address));
+    ModuleRuntime& runtime = *built.back();
+    runtime.set_epoch(p.epoch);
+    status = runtime.Initialize(std::move(p.pooled));
+    if (status.ok() && p.state != nullptr && !stale(p)) {
+      status = runtime.context().RestoreState(p.state->state);
+    }
+    if (!status.ok()) break;
   }
-  VP_RETURN_IF_ERROR(runtime->Initialize(extras));
-  json::Value state = json::Value::MakeObject();
-  if (checkpoint != nullptr && checkpoint->epoch + 1 < new_epoch) {
-    // The snapshot predates the previous recovery of this module:
-    // restoring it would roll back state the newer instance already
-    // superseded. Start from scratch instead.
-    pipeline.metrics_.OnCheckpointRejectedStale();
-    VP_WARN("orchestrator")
-        << "rejecting stale checkpoint for '" << module << "' (epoch "
-        << checkpoint->epoch << " < current " << (new_epoch - 1) << ")";
-    checkpoint = nullptr;
-  }
-  if (checkpoint != nullptr) {
-    VP_RETURN_IF_ERROR(runtime->context().RestoreState(checkpoint->state));
-    pipeline.metrics_.OnCheckpointRestored(
-        (cluster_->Now() - checkpoint->taken_at).millis());
-    state = checkpoint->state;
+  if (!status.ok()) {
+    // init() may have armed timers that point at these runtimes: keep
+    // them, fenced, until they drain.
+    for (auto& runtime : built) {
+      runtime->Fence();
+      pipeline.retired_modules_.push_back({std::move(runtime), now});
+    }
+    return status;
   }
 
-  ModuleRuntime* raw = runtime.get();
-  // Ship the checkpointed state from the controller to the target; the
-  // fresh instance goes live (binds its endpoint) on arrival. With no
-  // checkpoint the transfer is just the (tiny) init message. Reliable:
-  // dup/reorder/corruption or a transient partition must delay the
-  // bind, not lose it.
-  net::Message transfer("restore", state);
-  const size_t transfer_bytes = transfer.ByteSize();
-  cluster_->network().SendReliable(
-      from, target_device, transfer_bytes, [this, raw, new_address] {
-        Status bound = fabric_->Bind(
-            new_address, [raw](net::Message message, net::Responder) {
-              raw->OnMessage(std::move(message));
-            });
-        if (!bound.ok()) {
-          VP_ERROR("orchestrator")
-              << "restore bind failed: " << bound.ToString();
-        }
-      });
+  // 2. Commit. Nothing below can fail.
+  for (size_t i = 0; i < placements.size(); ++i) {
+    const ModulePlacement& p = placements[i];
+    const std::string& name = p.spec->name;
+    pipeline.module_epochs_[name] = p.epoch;
+    const bool restored = p.state != nullptr && !stale(p);
+    if (stale(p)) {
+      pipeline.metrics_.OnCheckpointRejectedStale();
+      VP_WARN("orchestrator")
+          << "'" << pipeline.spec_.name << "/" << name
+          << "': checkpoint is stale (epoch " << p.state->epoch
+          << " < current " << (p.epoch - 1) << "), starting clean";
+    } else if (restored && !p.live_handoff) {
+      pipeline.metrics_.OnCheckpointRestored(
+          (now - p.state->taken_at).millis());
+    }
 
-  for (auto& owned : pipeline.modules_) {
-    if (owned.get() == old_runtime) {
-      pipeline.retired_modules_.push_back(
-          {std::move(owned), cluster_->Now()});
-      owned = std::move(runtime);
-      break;
+    // Retire the replaced runtime (kept alive: an in-flight handler may
+    // still be executing on it) and route the module name to the new
+    // one.
+    ModuleRuntime* raw = built[i].get();
+    auto slot = std::find_if(
+        pipeline.modules_.begin(), pipeline.modules_.end(),
+        [&name](const auto& owned) { return owned->name() == name; });
+    if (slot != pipeline.modules_.end()) {
+      if (p.unbind_replaced) {
+        fabric_->Unbind((*slot)->address());  // no-op if a crash got it
+      }
+      pipeline.retired_modules_.push_back({std::move(*slot), now});
+      *slot = std::move(built[i]);
+    } else {
+      pipeline.modules_.push_back(std::move(built[i]));
+    }
+    pipeline.addresses_[name] = p.address;
+    pipeline.plan_.module_device[name] = p.device;
+
+    auto bind = [this, raw, address = p.address] {
+      Status bound = fabric_->Bind(
+          address, [raw](net::Message message, net::Responder) {
+            raw->OnMessage(std::move(message));
+          });
+      if (!bound.ok()) {
+        VP_ERROR("orchestrator")
+            << "module endpoint bind failed: " << bound.ToString();
+      }
+    };
+    if (p.ship_from.empty()) {
+      bind();
+    } else {
+      // Reliable: dup/reorder/corruption or a transient partition must
+      // delay the bind, not lose it. The state's wire size (tag
+      // included) is the transfer's cost.
+      const size_t bytes =
+          net::Message("handoff", restored ? p.state->state
+                                           : json::Value::MakeObject())
+              .ByteSize();
+      cluster_->network().SendReliable(p.ship_from, p.device, bytes,
+                                       std::move(bind));
     }
   }
-  pipeline.addresses_[module] = new_address;
-  pipeline.plan_.module_device[module] = target_device;
-  VP_INFO("orchestrator") << "restored module '" << module << "' on "
-                          << target_device
-                          << (checkpoint != nullptr ? " from checkpoint"
-                                                    : " from scratch")
-                          << " (" << transfer_bytes << " B)";
   return Status::Ok();
+}
+
+Status Orchestrator::BindCameraCredit(PipelineDeployment& pipeline) {
+  if (fabric_->IsBound(pipeline.camera_address_)) return Status::Ok();
+  CameraDriver* camera = pipeline.camera_.get();
+  return fabric_->Bind(pipeline.camera_address_,
+                       [camera](net::Message message, net::Responder) {
+                         if (message.type() == "credit") {
+                           camera->OnCredit(message.seq());
+                         }
+                       });
+}
+
+Result<std::vector<std::unique_ptr<PipelineDeployment>>::iterator>
+Orchestrator::FindDeployed(const PipelineDeployment* pipeline) {
+  auto it = std::find_if(
+      pipelines_.begin(), pipelines_.end(),
+      [pipeline](const auto& owned) { return owned.get() == pipeline; });
+  if (it == pipelines_.end()) {
+    return NotFound("pipeline is not currently deployed");
+  }
+  return it;
+}
+
+script::ContextOptions Orchestrator::ModuleContextOptions(
+    const std::string& module) const {
+  script::ContextOptions options;
+  options.limits = options_.script_limits;
+  options.random_seed = options_.seed ^ std::hash<std::string>{}(module);
+  return options;
 }
 
 Status Orchestrator::RecoverFromDeviceFailure(
@@ -1664,14 +1635,8 @@ Status Orchestrator::ResumeAfterDeviceReturn(
       if (!restored.ok()) worst = restored;
     }
     // The camera's credit endpoint died with the device; rebind it.
-    if (!fabric_->IsBound(pipeline->camera_address_)) {
-      CameraDriver* camera = pipeline->camera_.get();
-      Status bound = fabric_->Bind(
-          pipeline->camera_address_,
-          [camera](net::Message message, net::Responder) {
-            if (message.type() == "credit") camera->OnCredit(message.seq());
-          });
-      if (!bound.ok()) worst = bound;
+    if (Status bound = BindCameraCredit(*pipeline); !bound.ok()) {
+      worst = bound;
     }
     pipeline->paused_by_failure_ = false;
     pipeline->camera_->WriteOffOutstanding();

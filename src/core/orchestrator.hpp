@@ -217,14 +217,14 @@ class PipelineDeployment {
   /// Module state captured by HibernatePipeline, consumed (and kept,
   /// for inspection) by WakePipeline.
   std::map<std::string, ModuleCheckpoint> hibernation_checkpoints_;
-  /// module name → placement epoch (absent = 1). Bumped by
-  /// RestoreModule on every failure re-placement; NOT by live
-  /// migration (same lineage, synchronous handoff).
+  /// module name → placement epoch (absent = 1). Bumped by every
+  /// failure restore and every wake; NOT by live migration (same
+  /// lineage, synchronous handoff).
   std::map<std::string, uint64_t> module_epochs_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<RetiredModule> retired_modules_;
-  /// Per-module extra host functions from DeployArgs (needed again
-  /// when a module migrates and gets a fresh context).
+  /// Per-module extra host functions from DeployArgs, bound into every
+  /// runtime the module gets.
   std::map<std::string,
            std::vector<std::pair<std::string, script::HostFunction>>>
       extra_host_functions_;
@@ -339,11 +339,6 @@ class Orchestrator {
 
   // -- self-healing ------------------------------------------------------
 
-  // Compatibility aliases — the types moved to namespace scope so
-  // PipelineDeployment can hold hibernation snapshots.
-  using ModuleCheckpoint = vp::core::ModuleCheckpoint;
-  using CheckpointLookup = vp::core::CheckpointLookup;
-
   /// React to a *confirmed* device death (the failure detector's
   /// suspicion window elapsed): for every pipeline touching `device`,
   /// re-plan over the surviving devices, restore lost script modules
@@ -391,6 +386,10 @@ class Orchestrator {
   const modelreg::RolloutController& rollout() const { return *rollout_; }
   media::FrameStore& store(const std::string& device);
   const OrchestratorOptions& options() const { return options_; }
+  /// Script-context options of `module`'s runtime: the configured
+  /// limits and a per-module Math.random seed. A warm-pool context
+  /// built from them behaves exactly like a cold-built one.
+  script::ContextOptions ModuleContextOptions(const std::string& module) const;
   const std::vector<std::unique_ptr<PipelineDeployment>>& pipelines() const {
     return pipelines_;
   }
@@ -415,13 +414,15 @@ class Orchestrator {
   }
 
   /// Live-migrate a script module to another device (§7 "automatic
-  /// deployment, scheduling"): snapshot its serializable state, ship
-  /// it over the network, resume in a fresh context on the target and
-  /// rebind the module's address there. Messages arriving during the
-  /// cutover are dropped; the camera's credit watchdog recovers any
+  /// deployment, scheduling"): snapshot its serializable state, resume
+  /// it in a fresh context on the target at the SAME epoch and a new
+  /// address, then unbind the old endpoint and ship the state; the new
+  /// endpoint binds when the transfer arrives. Messages arriving during
+  /// the cutover are dropped; the camera's credit watchdog recovers any
   /// frame lost this way. The deployment plan is updated, so
   /// subsequent co-location decisions (local vs remote service calls)
-  /// follow the module.
+  /// follow the module. If the new instance fails to initialize or
+  /// restore, the old one keeps serving untouched.
   Status MigrateModule(PipelineDeployment& pipeline,
                        const std::string& module,
                        const std::string& target_device);
@@ -456,8 +457,8 @@ class Orchestrator {
   /// checkpoints, camera credit endpoint rebound, camera restarted.
   /// `contexts`, when set, supplies pre-Loaded warm-pool contexts so a
   /// wake skips parse/resolve/compile AND Load. Fails with
-  /// FAILED_PRECONDITION (pipeline stays hibernated, retryable) when
-  /// any target device is down.
+  /// FAILED_PRECONDITION when any target device is down; any failure
+  /// leaves the pipeline hibernated exactly as it was (retryable).
   Status WakePipeline(PipelineDeployment* pipeline,
                       const ContextProvider& contexts = nullptr);
 
@@ -522,14 +523,50 @@ class Orchestrator {
   void HandleDeviceReboot(const std::string& device);
 
   /// Replace `module`'s (dead or retired) runtime with a fresh one on
-  /// `target_device`, restoring `checkpoint` if present and shipping
-  /// the state bytes from `ship_from` (the controller). The new
-  /// endpoint binds when the state transfer arrives.
+  /// `target_device` at a new epoch, restoring `checkpoint` unless it
+  /// is stale and shipping the state bytes from `ship_from` (the
+  /// controller). The new endpoint binds when the transfer arrives.
   Status RestoreModule(PipelineDeployment& pipeline,
                        const std::string& module,
                        const std::string& target_device,
                        const ModuleCheckpoint* checkpoint,
                        const std::string& ship_from);
+
+  /// What differs between deploy, migration, restore and wake.
+  struct ModulePlacement {
+    const ModuleSpec* spec = nullptr;
+    std::string device;
+    net::Address address;
+    uint64_t epoch = 1;
+    /// State to resume from (nullptr: start clean). A checkpoint older
+    /// than the previous epoch is stale and rejected.
+    const ModuleCheckpoint* state = nullptr;
+    /// `state` is migration's live snapshot: not a checkpoint restore.
+    bool live_handoff = false;
+    std::unique_ptr<script::Context> pooled;  // warm-pool context
+    /// Empty: bind at once. Else ship the state from this device and
+    /// bind when the transfer arrives.
+    std::string ship_from;
+    /// Restore keeps a partitioned-away instance bound until fenced.
+    bool unbind_replaced = true;
+  };
+
+  /// The one module-placement path. First the fallible steps for every
+  /// placement (build, initialize, restore); only if all succeed, the
+  /// commit (epoch, unbind of the replaced endpoint, swap into
+  /// modules_, addresses_ and the plan, bind or ship). A failure
+  /// leaves the pipeline as it was; the runtimes built for it stay
+  /// fenced with the retired ones until whatever their init() armed
+  /// drains.
+  Status PlaceModules(PipelineDeployment& pipeline,
+                      std::vector<ModulePlacement> placements);
+
+  /// Bind the pipeline's camera credit endpoint (no-op when bound).
+  Status BindCameraCredit(PipelineDeployment& pipeline);
+
+  /// `pipeline`'s slot in pipelines_; NOT_FOUND when it is not deployed.
+  Result<std::vector<std::unique_ptr<PipelineDeployment>>::iterator>
+  FindDeployed(const PipelineDeployment* pipeline);
 
   /// Reclaim retired runtimes and undeployed pipelines whose drain
   /// watermark is `retired_drain_window` in the past (satellite:

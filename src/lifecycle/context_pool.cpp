@@ -7,11 +7,9 @@ namespace vp::lifecycle {
 ContextPool::ContextPool(ContextPoolOptions options)
     : options_(options) {}
 
-Status ContextPool::Prewarm(const std::string& source, uint64_t random_seed) {
-  script::ContextOptions context_options;
-  context_options.limits = options_.limits;
-  context_options.random_seed = random_seed;
-  auto context = std::make_unique<script::Context>(context_options);
+Status ContextPool::Prewarm(const std::string& source,
+                            const script::ContextOptions& options) {
+  auto context = std::make_unique<script::Context>(options);
   Status loaded = context->Load(source);
   if (!loaded.ok()) {
     ++stats_.load_failures;
@@ -19,7 +17,7 @@ Status ContextPool::Prewarm(const std::string& source, uint64_t random_seed) {
   }
   Entry entry;
   entry.code_hash = script::HashProgramSource(source);
-  entry.seed = random_seed;
+  entry.options = options;
   entry.source = source;
   entry.context = std::move(context);
   entries_.push_back(std::move(entry));
@@ -32,10 +30,10 @@ Status ContextPool::Prewarm(const std::string& source, uint64_t random_seed) {
 }
 
 std::unique_ptr<script::Context> ContextPool::Acquire(
-    const std::string& source, uint64_t random_seed) {
+    const std::string& source, const script::ContextOptions& options) {
   const uint64_t hash = script::HashProgramSource(source);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->code_hash == hash && it->seed == random_seed &&
+    if (it->code_hash == hash && it->options == options &&
         it->source == source) {
       std::unique_ptr<script::Context> context = std::move(it->context);
       entries_.erase(it);

@@ -7,11 +7,11 @@
 // a wake that draws from the pool only binds host functions and runs
 // init() — the "hot" tier of the coldstart ladder.
 //
-// Entries are keyed (source hash, random seed). The seed is part of
-// the key because a context's Math.random stream is seeded at
-// construction: handing a module a context built for a different seed
-// would silently change its random sequence and break per-home
-// determinism.
+// Entries are keyed (source, context options). The options are part
+// of the key because a context's Math.random stream is seeded and its
+// limits are fixed at construction: handing a module a context built
+// for different options would silently change its random sequence or
+// its limits and break per-home determinism.
 #pragma once
 
 #include <deque>
@@ -26,7 +26,6 @@ namespace vp::lifecycle {
 struct ContextPoolOptions {
   /// Pooled contexts kept at once (oldest evicted beyond this).
   size_t capacity = 64;
-  script::InterpreterLimits limits;
 };
 
 struct ContextPoolStats {
@@ -44,14 +43,16 @@ class ContextPool {
  public:
   explicit ContextPool(ContextPoolOptions options = {});
 
-  /// Build and Load a context for (source, seed) and park it. Returns
-  /// the Load error (and pools nothing) if top-level execution fails.
-  Status Prewarm(const std::string& source, uint64_t random_seed);
+  /// Build and Load a context for (source, options) and park it.
+  /// Returns the Load error (and pools nothing) if top-level execution
+  /// fails.
+  Status Prewarm(const std::string& source,
+                 const script::ContextOptions& options);
 
-  /// Take a pooled context matching (source, seed), or nullptr (the
+  /// Take a pooled context matching (source, options), or nullptr (the
   /// caller falls back to a cold Initialize).
-  std::unique_ptr<script::Context> Acquire(const std::string& source,
-                                           uint64_t random_seed);
+  std::unique_ptr<script::Context> Acquire(
+      const std::string& source, const script::ContextOptions& options);
 
   void Clear();
   size_t size() const { return entries_.size(); }
@@ -60,7 +61,7 @@ class ContextPool {
  private:
   struct Entry {
     uint64_t code_hash;
-    uint64_t seed;
+    script::ContextOptions options;
     std::string source;  // hash-collision guard
     std::unique_ptr<script::Context> context;
   };

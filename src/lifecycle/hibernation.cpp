@@ -1,7 +1,5 @@
 #include "lifecycle/hibernation.hpp"
 
-#include <functional>
-
 #include "common/log.hpp"
 
 namespace vp::lifecycle {
@@ -10,13 +8,7 @@ HibernationManager::HibernationManager(core::Orchestrator* orchestrator,
                                        HibernationOptions options)
     : orchestrator_(orchestrator), options_(std::move(options)),
       admission_(&orchestrator->cluster().simulator(), options_.admission),
-      pool_([&] {
-        // Pooled contexts must match what Initialize would build, or a
-        // hot start silently changes module limits.
-        ContextPoolOptions pool_options = options_.pool;
-        pool_options.limits = orchestrator->options().script_limits;
-        return pool_options;
-      }()) {}
+      pool_(options_.pool) {}
 
 void HibernationManager::Start() {
   if (running_) return;
@@ -104,9 +96,8 @@ Status HibernationManager::Hibernate(core::PipelineDeployment* pipeline) {
   if (options_.prewarm_on_hibernate) {
     for (const core::ModuleSpec& m : pipeline->spec().modules) {
       if (m.type != core::ModuleType::kScript) continue;
-      const uint64_t seed = orchestrator_->options().seed ^
-                            std::hash<std::string>{}(m.name);
-      (void)pool_.Prewarm(m.code, seed);
+      (void)pool_.Prewarm(m.code,
+                          orchestrator_->ModuleContextOptions(m.name));
     }
   }
 
@@ -240,11 +231,8 @@ HibernationManager::MakeContextProvider() {
   return [this](const core::ModuleSpec& spec,
                 const std::string& device) -> std::unique_ptr<script::Context> {
     (void)device;
-    // Same seed derivation as ModuleRuntime::Initialize — the pooled
-    // context's Math.random stream matches a cold-built one exactly.
-    const uint64_t seed = orchestrator_->options().seed ^
-                          std::hash<std::string>{}(spec.name);
-    return pool_.Acquire(spec.code, seed);
+    return pool_.Acquire(spec.code,
+                         orchestrator_->ModuleContextOptions(spec.name));
   };
 }
 

@@ -26,6 +26,8 @@ struct ContextOptions {
   InterpreterLimits limits;
   /// Seed for this context's Math.random.
   uint64_t random_seed = 1234;
+
+  bool operator==(const ContextOptions&) const = default;
 };
 
 class Context {

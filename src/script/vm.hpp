@@ -51,6 +51,8 @@ struct InterpreterLimits {
   /// Maximum bytecode instructions per entry (Load / Call).
   uint64_t max_steps = 5'000'000;
   int max_call_depth = 128;
+
+  bool operator==(const InterpreterLimits&) const = default;
 };
 
 // ------------------------------------------------------------ values

@@ -101,12 +101,13 @@ TEST(ProgramCache, UncompilableSourceIsALoadErrorAndNotCached) {
 TEST(ContextPool, AcquireMatchesSourceAndSeed) {
   lifecycle::ContextPool pool;
   const std::string source = "var ready = 1;";
-  ASSERT_TRUE(pool.Prewarm(source, 7).ok());
+  ASSERT_TRUE(pool.Prewarm(source, {.random_seed = 7}).ok());
   EXPECT_EQ(pool.size(), 1u);
 
-  EXPECT_EQ(pool.Acquire(source, 8), nullptr);        // wrong seed
-  EXPECT_EQ(pool.Acquire("var other = 1;", 7), nullptr);  // wrong code
-  auto context = pool.Acquire(source, 7);
+  EXPECT_EQ(pool.Acquire(source, {.random_seed = 8}), nullptr);  // wrong seed
+  EXPECT_EQ(pool.Acquire("var other = 1;", {.random_seed = 7}),
+            nullptr);  // wrong code
+  auto context = pool.Acquire(source, {.random_seed = 7});
   ASSERT_NE(context, nullptr);
   EXPECT_EQ(context->GetGlobal("ready").ToNumber(), 1.0);
   EXPECT_EQ(pool.size(), 0u);  // consumed
@@ -115,6 +116,18 @@ TEST(ContextPool, AcquireMatchesSourceAndSeed) {
   EXPECT_EQ(stats.prewarmed, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ContextPool, AcquireMatchesLimits) {
+  // A pooled context keeps the limits it was built with, so a module
+  // configured with other limits must not be handed it.
+  lifecycle::ContextPool pool;
+  const std::string source = "var ready = 1;";
+  script::ContextOptions tight;
+  tight.limits.max_steps = 10'000;
+  ASSERT_TRUE(pool.Prewarm(source, tight).ok());
+  EXPECT_EQ(pool.Acquire(source, script::ContextOptions{}), nullptr);
+  EXPECT_NE(pool.Acquire(source, tight), nullptr);
 }
 
 // ------------------------------------------------------ hibernation
@@ -692,6 +705,74 @@ TEST(Hibernation, SleepSnapshotsLandInTheHealerStore) {
   const json::Value* stored_counter = stored->state.Find("counter");
   ASSERT_NE(stored_counter, nullptr);
   EXPECT_EQ(stored_counter->AsDouble(), counter);
+}
+
+// ---------------------------------------------------- failed wake
+
+TEST(Hibernation, FailedWakeStaysHibernatedAndRetrySucceeds) {
+  // Two modules, a → b. `gate()` fails on its second call and b's
+  // init() calls it, so the first wake fails after a was rebuilt. The
+  // pipeline must stay hibernated exactly as it was — nothing bound, no
+  // epoch spent — and the retry must wake it with a's state intact.
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::OrchestratorOptions options;
+  options.seed = TestSeed();
+  core::Orchestrator orchestrator(cluster.get(), options);
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "gated",
+    "source": { "fps": 5, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["a"] },
+      { "name": "a", "next_module": ["b"],
+        "code": "var counter = 0; function event_received(msg) { counter = counter + 1; call_module('b', { seq: msg.seq }); }" },
+      { "name": "b", "signal_source": true,
+        "code": "function init() { gate(); } function event_received(msg) {}" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.seed = TestSeed();
+  auto calls = std::make_shared<int>(0);
+  args.extra_host_functions["b"] = {
+      {"gate",
+       [calls](std::vector<script::Value>&,
+               script::Interpreter&) -> Result<script::Value> {
+         if (++*calls == 2) return ScriptError("gate closed");
+         return script::Value(true);
+       }}};
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  core::PipelineDeployment* pipeline = *deployment;
+  pipeline->Start();
+  orchestrator.RunFor(Duration::Seconds(3));
+  ASSERT_TRUE(orchestrator.HibernatePipeline(pipeline).ok());
+  const double counter =
+      pipeline->hibernation_checkpoints().at("a").state.Find("counter")
+          ->AsDouble();
+  ASSERT_GT(counter, 5);
+  const net::Address a_address = *pipeline->ModuleAddress("a");
+
+  EXPECT_FALSE(orchestrator.WakePipeline(pipeline).ok());
+  EXPECT_TRUE(pipeline->hibernated());
+  EXPECT_TRUE(pipeline->modules().empty());
+  EXPECT_FALSE(orchestrator.fabric().IsBound(a_address));
+  EXPECT_EQ(pipeline->module_epoch("a"), 1u);
+  EXPECT_EQ(pipeline->module_epoch("b"), 1u);
+
+  const Status retry = orchestrator.WakePipeline(pipeline);
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  EXPECT_FALSE(pipeline->hibernated());
+  EXPECT_EQ(pipeline->module_epoch("a"), 2u);
+  EXPECT_EQ(pipeline->metrics().checkpoints_rejected_stale(), 0u);
+  ASSERT_NE(pipeline->FindModule("a"), nullptr);
+  EXPECT_EQ(pipeline->FindModule("a")->context().GetGlobal("counter")
+                .ToNumber(),
+            counter);
+  const uint64_t completed = pipeline->metrics().frames_completed();
+  orchestrator.RunFor(Duration::Seconds(3));
+  EXPECT_GT(pipeline->metrics().frames_completed(), completed + 5);
 }
 
 }  // namespace

@@ -258,5 +258,59 @@ TEST(Soak, ThreeAppsLossyWifiMigrationsAndAutoscaling) {
             2u);
 }
 
+// ------------------------------------------------- failed migration
+
+TEST(Migration, FailedMigrationLeavesTheModuleServing) {
+  // `gate()` fails on its second call. The module's init() calls it, so
+  // the deploy succeeds and the migration's fresh instance fails to
+  // initialize. The old instance must keep serving where it was.
+  auto cluster = sim::MakeHomeTestbed();
+  core::Orchestrator orchestrator(cluster.get());
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "gated",
+    "source": { "fps": 5, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["m"] },
+      { "name": "m", "signal_source": true,
+        "code": "var count = 0; function init() { gate(); } function event_received(msg) { count = count + 1; }" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto calls = std::make_shared<int>(0);
+  args.extra_host_functions["m"] = {
+      {"gate",
+       [calls](std::vector<script::Value>&,
+               script::Interpreter&) -> Result<script::Value> {
+         if (++*calls == 2) return ScriptError("gate closed");
+         return script::Value(true);
+       }}};
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  core::PipelineDeployment& pipeline = **deployment;
+  pipeline.Start();
+  orchestrator.RunFor(Duration::Seconds(3));
+
+  core::ModuleRuntime* before = pipeline.FindModule("m");
+  ASSERT_NE(before, nullptr);
+  const std::string device = before->device();
+  const std::string target = device == "tv" ? "desktop" : "tv";
+  const net::Address address = before->address();
+  const uint64_t completed = pipeline.metrics().frames_completed();
+  ASSERT_GT(completed, 5u);
+
+  EXPECT_FALSE(orchestrator.MigrateModule(pipeline, "m", target).ok());
+  EXPECT_EQ(pipeline.FindModule("m"), before);
+  EXPECT_EQ(pipeline.plan().module_device.at("m"), device);
+  EXPECT_EQ(pipeline.ModuleAddress("m")->port, address.port);
+  EXPECT_TRUE(orchestrator.fabric().IsBound(address));
+  EXPECT_EQ(pipeline.module_epoch("m"), 1u);
+
+  orchestrator.RunFor(Duration::Seconds(5));
+  EXPECT_GT(pipeline.metrics().frames_completed(), completed + 15);
+}
+
 }  // namespace
 }  // namespace vp

@@ -557,5 +557,42 @@ TEST(ScriptFuzz, GarbageSourcesErrorCleanly) {
   }
 }
 
+// ------------------------------------------------ failed deploy
+
+TEST(FailedDeploy, LeavesNoEndpointBound) {
+  // A pipeline config is a trust-boundary input: a module whose init()
+  // throws must fail the deploy without leaving its configured port
+  // bound to a runtime the failed deploy then frees.
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::Orchestrator orchestrator(cluster.get());
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "bad_init",
+    "source": { "fps": 5, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["m"] },
+      { "name": "m", "signal_source": true,
+        "endpoint": "bind#tcp://x:30001",
+        "code": "function init() { throw 'boom'; } function event_received(msg) {}" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_FALSE(deployment.ok());
+  EXPECT_TRUE(orchestrator.pipelines().empty());
+
+  // No device may keep the module's port: a message pushed there must
+  // find no endpoint, not a freed runtime.
+  for (sim::Device* device : cluster->devices()) {
+    const net::Address address{device->name(), 30001};
+    EXPECT_FALSE(orchestrator.fabric().IsBound(address)) << device->name();
+    (void)orchestrator.fabric().Push(device->name(), address,
+                                     net::Message("frame"));
+  }
+  orchestrator.RunFor(Duration::Seconds(1));
+}
+
 }  // namespace
 }  // namespace vp
