@@ -97,10 +97,8 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
   for (int id = 0; id < fleet.size(); ++id) {
     DeployFitnessTo(fleet.home(id), 10);
   }
-  // Deploys pump per-home clocks differently on the two engines
-  // (shared serialized clock vs independent per-shard clocks); this
-  // run brings every clock to one fence so all homes see the same
-  // active window below on both engines.
+  // Let deploy-time work (container cold starts) settle before the
+  // cameras start, so every home's active window below is warm.
   fleet.RunFor(Duration::Seconds(2));
   if (coupled) {
     // Per-home offload ticks live on each home's own simulator (its

@@ -182,9 +182,8 @@ void ModuleRuntime::ProcessMessage(net::Message message) {
     cost += media::DecodeCost(message.parts().front().size());
   }
   sim::Device* device = orchestrator_->cluster().FindDevice(device_);
-  // The handler runs on its own fiber so a blocking service call
-  // suspends it instead of re-entrantly pumping the (possibly shared)
-  // simulator — see sim::Fiber.
+  // The handler runs on its own fiber so a blocking service call parks
+  // it until the completing event resumes it — see sim::Fiber.
   device->module_lane().Run(
       cost, [this, message = std::move(message)]() mutable {
         orchestrator_->RunOnFiber(

@@ -1,6 +1,7 @@
 #include "core/orchestrator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 #include "media/codec.hpp"
@@ -136,8 +137,6 @@ Orchestrator::Orchestrator(sim::Cluster* cluster, OrchestratorOptions options)
         }
         return std::make_shared<modelreg::ModelHandle>(std::move(artifact));
       });
-  fiber_hook_ = cluster_->simulator().AddPostEventHook(
-      [this]() { PumpFiberWaiters(); });
 }
 
 serving::RequestScheduler* Orchestrator::scheduler(
@@ -160,7 +159,6 @@ Orchestrator::~Orchestrator() {
   // holds module/pipeline state on its stack whose destructors may
   // touch the orchestrator.
   DrainFibers();
-  cluster_->simulator().RemovePostEventHook(fiber_hook_);
 }
 
 media::FrameStore& Orchestrator::store(const std::string& device) {
@@ -174,92 +172,110 @@ media::FrameStore& Orchestrator::store(const std::string& device) {
   return *it->second;
 }
 
-Status Orchestrator::Await(const bool& done) {
-  if (done) return Status::Ok();
-  if (sim::Fiber* fiber = sim::Fiber::Current()) {
-    // Handler path: suspend back to the simulator loop. The post-event
-    // hook resumes this fiber at the exact event that flips `done`.
-    // Pumping the simulator here instead would make the wait
-    // re-entrant: a nested blocked handler — possibly another home's
-    // on a shared fleet simulator — pins the stack, and this handler
-    // would resume late by an amount that depends on its co-tenants.
-    if (draining_fibers_) {
-      return Status(StatusCode::kInternal,
-                    "orchestrator shutting down while a module was blocked "
-                    "on a service response");
-    }
-    fiber_waiters_.push_back({&done, fiber});
+Result<json::Value> Orchestrator::Await(
+    const std::function<Status(const Pending&)>& start) {
+  sim::Fiber* fiber = sim::Fiber::Current();
+  if (fiber == nullptr) {
+    return FailedPrecondition(
+        "blocking call outside a module event handler (init() runs "
+        "synchronously and may not call call_service, busy_ms or a "
+        "cross-device call_module)");
+  }
+  if (draining_fibers_) {
+    return Internal(
+        "orchestrator shutting down while a module was blocked on a service "
+        "response");
+  }
+  auto call = std::make_shared<PendingCall>();
+  VP_RETURN_IF_ERROR_R(start(call));
+  if (!call->done) {
+    // Park until the completing event resumes us (Complete). Nothing
+    // else runs the simulator here, so the handler resumes at exactly
+    // the virtual time its wait was satisfied, whatever its co-tenants
+    // on a shared simulator are blocked on.
+    call->parked = fiber;
+    parked_.push_back(call.get());
     sim::Fiber::Suspend();
-    if (!done) {
-      // Woken by DrainFibers, not by the response: unwind.
-      return Status(StatusCode::kInternal,
-                    "orchestrator shut down while a module was blocked on "
-                    "a service response");
-    }
-    return Status::Ok();
-  }
-  // Scheduler-stack path (deploy/bootstrap costs): no fiber to
-  // suspend, so pump re-entrantly. Nothing runs concurrently at
-  // deploy time, so the overshoot problem above does not apply.
-  while (!done) {
-    if (!cluster_->simulator().Step()) {
-      return Status(StatusCode::kInternal,
-                    "event queue drained while a module was blocked on a "
-                    "service response");
+    parked_.erase(std::find(parked_.begin(), parked_.end(), call.get()));
+    if (!call->done) {
+      // Woken by DrainFibers, not by the completing event: unwind.
+      return Internal(
+          "orchestrator shut down while a module was blocked on a service "
+          "response");
     }
   }
-  return Status::Ok();
+  return std::move(call->value);
+}
+
+void Orchestrator::Complete(PendingCall& call, Result<json::Value> value,
+                            const std::function<void()>& before_resume) {
+  if (call.done) return;
+  call.done = true;
+  call.value = std::move(value);
+  if (before_resume) before_resume();
+  if (sim::Fiber* fiber = std::exchange(call.parked, nullptr)) {
+    fiber->Resume();
+    if (fiber->finished()) delete fiber;
+  }
+}
+
+Result<json::Value> Orchestrator::AwaitReply(
+    Duration timeout, std::string timeout_message,
+    std::function<void()> on_timeout,
+    const std::function<Status(const Pending&)>& send) {
+  uint64_t timer = 0;
+  Result<json::Value> result = Await([&](const Pending& call) {
+    timer = cluster_->simulator().After(
+        timeout, [call, message = std::move(timeout_message),
+                  on_timeout = std::move(on_timeout)] {
+          Complete(*call, Timeout(message), on_timeout);
+        });
+    return send(call);
+  });
+  cluster_->simulator().Cancel(timer);  // no-op if it fired or never armed
+  return result;
 }
 
 void Orchestrator::RunOnFiber(std::function<void()> body) {
   sim::Fiber* fiber = sim::Fiber::Spawn(std::move(body));
-  // A suspended fiber registered itself in fiber_waiters_ (Await) and
-  // is owned by the resume path from here on.
+  // A suspended fiber is parked on a pending call (Await) and owned by
+  // whoever resumes it from here on.
   if (fiber->finished()) delete fiber;
-}
-
-void Orchestrator::PumpFiberWaiters() {
-  // Resume in suspension order. A resumed handler may finish, block
-  // again (re-registering at the back) or flip another waiter's flag,
-  // so rescan from the front until no waiter is ready.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < fiber_waiters_.size(); ++i) {
-      if (!*fiber_waiters_[i].flag) continue;
-      FiberWaiter waiter = fiber_waiters_[i];
-      fiber_waiters_.erase(fiber_waiters_.begin() +
-                           static_cast<ptrdiff_t>(i));
-      waiter.fiber->Resume();
-      if (waiter.fiber->finished()) delete waiter.fiber;
-      progress = true;
-      break;
-    }
-  }
 }
 
 void Orchestrator::DrainFibers() {
   draining_fibers_ = true;
-  while (!fiber_waiters_.empty()) {
-    FiberWaiter waiter = fiber_waiters_.front();
-    fiber_waiters_.erase(fiber_waiters_.begin());
-    waiter.fiber->Resume();
-    // Await bounces re-blocks while draining, so the handler must have
-    // run to completion.
-    if (waiter.fiber->finished()) delete waiter.fiber;
+  while (!parked_.empty()) {
+    // Resume with the call unsatisfied; Await unparks it and returns an
+    // error. Await fails fast while draining, so the handler runs to
+    // completion.
+    sim::Fiber* fiber = std::exchange(parked_.front()->parked, nullptr);
+    fiber->Resume();
+    if (fiber->finished()) delete fiber;
   }
 }
 
 Status Orchestrator::BlockOnLane(sim::ExecutionLane& lane, Duration cost) {
-  bool done = false;
-  lane.Run(cost, [&done] { done = true; });
-  return Await(done);
+  return Await([&](const Pending& call) {
+           lane.Run(cost, [call] { Complete(*call, json::Value()); });
+           return Status::Ok();
+         })
+      .status();
 }
 
 Status Orchestrator::SleepFor(Duration d) {
-  bool done = false;
-  cluster_->simulator().After(d, [&done] { done = true; });
-  return Await(done);
+  return Await([&](const Pending& call) {
+           cluster_->simulator().After(
+               d, [call] { Complete(*call, json::Value()); });
+           return Status::Ok();
+         })
+      .status();
+}
+
+uint16_t Orchestrator::AllocatePort(const std::string& device) {
+  // A configured endpoint may sit anywhere in the auto-assigned range.
+  while (fabric_->IsBound(net::Address{device, next_port_})) ++next_port_;
+  return next_port_++;
 }
 
 net::Address Orchestrator::ServiceGateway(const std::string& device,
@@ -271,7 +287,7 @@ net::Address Orchestrator::ServiceGateway(const std::string& device,
 Status Orchestrator::BindServiceGateway(const std::string& device,
                                         const std::string& service) {
   if (gateways_.count({device, service}) != 0) return Status::Ok();
-  const net::Address address{device, AllocatePort()};
+  const net::Address address{device, AllocatePort(device)};
   Status bound = fabric_->Bind(
       address, [this, device, service](net::Message message,
                                        net::Responder respond) {
@@ -553,12 +569,13 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
     const std::string& device = pplan.module_device.at(m.name);
     uint16_t port = m.endpoint.port;
     if (port == 0 || fabric_->IsBound(net::Address{device, port})) {
-      port = AllocatePort();
+      port = AllocatePort(device);
     }
     deployment->addresses_[m.name] = net::Address{device, port};
   }
   deployment->camera_address_ =
-      net::Address{deployment->source_device_, AllocatePort()};
+      net::Address{deployment->source_device_,
+                   AllocatePort(deployment->source_device_)};
   VP_RETURN_IF_ERROR_R(
       RequireUnbound(*fabric_, deployment->camera_address_));
 
@@ -789,43 +806,33 @@ Result<json::Value> Orchestrator::CallServiceOnce(
     }
     request.payload = payload;  // copy: a retry reuses the original
 
+    const std::string timed_out =
+        "call to '" + service + "' on " + host_device + " timed out after " +
+        std::to_string(static_cast<long long>(rc.timeout.millis())) + " ms";
+    const Duration ipc = cluster_->network().loopback_delay();
     if (serving::RequestScheduler* sched = scheduler(host_device, service)) {
-      // Serving path: same caller-side timeout scaffolding as the
-      // direct path, but the request goes through the scheduler, which
+      // Serving path: the request goes through the scheduler, which
       // owns replica choice, batching and health — so a timeout here
       // (could be queueing, not a sick replica) marks nothing suspect.
-      auto state = std::make_shared<PendingResult>();
-      const uint64_t timer = cluster_->simulator().After(
-          rc.timeout, [state, service, host_device, rc] {
-            if (state->done) return;
-            state->done = true;
-            state->value = Result<json::Value>(Timeout(
-                "call to '" + service + "' on " + host_device +
-                " timed out after " +
-                std::to_string(static_cast<long long>(rc.timeout.millis())) +
-                " ms"));
+      return AwaitReply(
+          rc.timeout, timed_out, nullptr, [&](const Pending& call) {
+            cluster_->simulator().After(
+                ipc, [this, sched, call, ipc, priority_class, deadline,
+                      request = std::move(request)]() mutable {
+                  serving::SchedulerRequest sreq;
+                  sreq.request = std::move(request);
+                  sreq.priority_class = priority_class;
+                  sreq.deadline = deadline;
+                  sreq.done = [this, call, ipc](Result<json::Value> result) {
+                    cluster_->simulator().After(
+                        ipc, [call, result = std::move(result)]() mutable {
+                          Complete(*call, std::move(result));
+                        });
+                  };
+                  sched->Submit(std::move(sreq));
+                });
+            return Status::Ok();
           });
-      const Duration ipc = cluster_->network().loopback_delay();
-      cluster_->simulator().After(
-          ipc, [this, sched, state, ipc, priority_class, deadline,
-                request = std::move(request)]() mutable {
-            serving::SchedulerRequest sreq;
-            sreq.request = std::move(request);
-            sreq.priority_class = priority_class;
-            sreq.deadline = deadline;
-            sreq.done = [this, state, ipc](Result<json::Value> result) {
-              cluster_->simulator().After(
-                  ipc, [state, result = std::move(result)]() mutable {
-                    if (state->done) return;
-                    state->value = std::move(result);
-                    state->done = true;
-                  });
-            };
-            sched->Submit(std::move(sreq));
-          });
-      VP_RETURN_IF_ERROR_R(Await(state->done));
-      cluster_->simulator().Cancel(timer);  // no-op if it already fired
-      return std::move(state->value);
     }
 
     services::ServiceInstance* instance =
@@ -834,39 +841,30 @@ Result<json::Value> Orchestrator::CallServiceOnce(
       return Unavailable("no available replica of '" + service + "' on " +
                          host_device);
     }
-    // The call state is shared: after a timeout resolves the attempt,
-    // the late replica reply (if it ever comes) must find the state
-    // alive and see done == true, not a dangling stack frame.
-    auto state = std::make_shared<PendingResult>();
-    const uint64_t deadline = cluster_->simulator().After(
-        rc.timeout, [this, state, instance, service, host_device, rc] {
-          if (state->done) return;
-          state->done = true;
-          state->value = Result<json::Value>(Timeout(
-              "call to '" + service + "' on " + host_device +
-              " timed out after " +
-              std::to_string(static_cast<long long>(rc.timeout.millis())) +
-              " ms"));
-          instance->MarkSuspected(cluster_->Now() + rc.suspect_duration);
-        });
-    const Duration ipc = cluster_->network().loopback_delay();
-    cluster_->simulator().After(
-        ipc, [this, instance, state, ipc,
-              request = std::move(request)]() mutable {
-          instance->Invoke(
-              std::move(request),
-              [this, state, ipc](Result<json::Value> result) {
-                cluster_->simulator().After(
-                    ipc, [state, result = std::move(result)]() mutable {
-                      if (state->done) return;
-                      state->value = std::move(result);
-                      state->done = true;
+    // A timed-out replica sits out of load balancing before the
+    // handler resumes (and possibly retries). The call state is
+    // shared: a late replica reply finds it settled and is discarded.
+    const Duration suspect = rc.suspect_duration;
+    return AwaitReply(
+        rc.timeout, timed_out,
+        [this, instance, suspect] {
+          instance->MarkSuspected(cluster_->Now() + suspect);
+        },
+        [&](const Pending& call) {
+          cluster_->simulator().After(
+              ipc, [this, instance, call, ipc,
+                    request = std::move(request)]() mutable {
+                instance->Invoke(
+                    std::move(request),
+                    [this, call, ipc](Result<json::Value> result) {
+                      cluster_->simulator().After(
+                          ipc, [call, result = std::move(result)]() mutable {
+                            Complete(*call, std::move(result));
+                          });
                     });
               });
+          return Status::Ok();
         });
-    VP_RETURN_IF_ERROR_R(Await(state->done));
-    cluster_->simulator().Cancel(deadline);  // no-op if it already fired
-    return std::move(state->value);
   }
 
   // ---- Remote: ship the request (and the frame) over the network. -----
@@ -912,32 +910,20 @@ Result<json::Value> Orchestrator::CallServiceOnce(
   // Caller-side backstop: the gateway already enforces `timeout` per
   // replica, so grant it slack for the two network legs; this timer
   // only decides when the gateway's answer (or the message) was lost.
-  auto state = std::make_shared<PendingResult>();
   const Duration budget = rc.timeout + rc.remote_slack;
-  const uint64_t backstop = cluster_->simulator().After(
-      budget, [state, service, host_device, budget] {
-        if (state->done) return;
-        state->done = true;
-        state->value = Result<json::Value>(Timeout(
-            "no reply from gateway of '" + service + "' on " + host_device +
-            " within " +
-            std::to_string(static_cast<long long>(budget.millis())) + " ms"));
+  return AwaitReply(
+      budget,
+      "no reply from gateway of '" + service + "' on " + host_device +
+          " within " +
+          std::to_string(static_cast<long long>(budget.millis())) + " ms",
+      nullptr, [&](const Pending& call) {
+        return fabric_->Request(
+            caller.device(), gateway, std::move(message),
+            [call](Result<net::Message> reply) {
+              Complete(*call, reply.ok() ? ParseReply(*reply)
+                                         : Result<json::Value>(reply.error()));
+            });
       });
-  Status sent = fabric_->Request(
-      caller.device(), gateway, std::move(message),
-      [state](Result<net::Message> reply) {
-        if (state->done) return;
-        state->value = reply.ok() ? ParseReply(*reply)
-                                  : Result<json::Value>(reply.error());
-        state->done = true;
-      });
-  if (!sent.ok()) {
-    cluster_->simulator().Cancel(backstop);
-    return sent.error();
-  }
-  VP_RETURN_IF_ERROR_R(Await(state->done));
-  cluster_->simulator().Cancel(backstop);
-  return std::move(state->value);
 }
 
 Status Orchestrator::SendToModule(ModuleRuntime& caller,
@@ -1003,7 +989,7 @@ Status Orchestrator::MigrateModule(PipelineDeployment& pipeline,
   ModulePlacement& p = placement[0];
   p.spec = &old_runtime->spec();
   p.device = target_device;
-  p.address = net::Address{target_device, AllocatePort()};
+  p.address = net::Address{target_device, AllocatePort(target_device)};
   p.epoch = old_runtime->epoch();
   p.state = &snapshot;
   p.live_handoff = true;
@@ -1299,7 +1285,7 @@ Status Orchestrator::RestoreModule(PipelineDeployment& pipeline,
   ModulePlacement& p = placement[0];
   p.spec = spec;
   p.device = target_device;
-  p.address = net::Address{target_device, AllocatePort()};
+  p.address = net::Address{target_device, AllocatePort(target_device)};
   p.epoch = pipeline.module_epoch(module) + 1;
   p.state = checkpoint;
   p.ship_from = ship_from.empty() ? target_device : ship_from;

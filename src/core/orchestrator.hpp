@@ -8,6 +8,7 @@
 // credit path, and drives the simulation.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -371,7 +372,8 @@ class Orchestrator {
   /// anymore. Returns the number of zombies fenced.
   size_t FenceStaleRuntimes(const std::string& device);
 
-  /// Run `cost` on `lane`, blocking (in virtual time) until done.
+  /// Run `cost` on `lane`, blocking (in virtual time) until done. Only
+  /// a module event handler may block (see Await).
   Status BlockOnLane(sim::ExecutionLane& lane, Duration cost);
 
   // -- accessors ---------------------------------------------------------
@@ -471,25 +473,44 @@ class Orchestrator {
  private:
   friend class ModuleRuntime;
 
-  struct PendingResult {
+  /// A wait a module handler blocks on: a service reply, lane work or
+  /// a sleep. The handler's fiber parks here, and the event that
+  /// completes the wait resumes it (Complete).
+  struct PendingCall {
     bool done = false;
     Result<json::Value> value{json::Value()};
+    sim::Fiber* parked = nullptr;  // the blocked handler, until resumed
   };
+  using Pending = std::shared_ptr<PendingCall>;
 
-  /// Block until `done` flips. On a handler fiber this suspends and is
-  /// resumed at the exact event that flips the flag; on the scheduler
-  /// stack (deploy/bootstrap paths) it pumps the simulator re-entrantly.
-  Status Await(const bool& done);
+  /// Block the calling handler until the operation that `start` begins
+  /// completes the call, and return the call's value. Only a handler
+  /// running on its fiber (RunOnFiber) may block: anywhere else — e.g.
+  /// a module's init(), which runs synchronously inside a deploy — this
+  /// fails with kFailedPrecondition before `start` runs.
+  Result<json::Value> Await(const std::function<Status(const Pending&)>& start);
 
-  /// Run `body` (a module handler) on its own fiber so a blocking
-  /// Await inside it suspends instead of pumping the shared simulator.
+  /// Settle `call` with `value` unless it already settled, run
+  /// `before_resume`, then resume the handler parked on it. A
+  /// completing event calls this as the last thing it does, so the
+  /// handler resumes at that event's virtual time, after its work.
+  static void Complete(PendingCall& call, Result<json::Value> value,
+                       const std::function<void()>& before_resume = nullptr);
+
+  /// Await with a timer: `send` starts the operation; if the call is
+  /// still open after `timeout`, it settles to kTimeout with
+  /// `timeout_message` and `on_timeout` runs before the handler
+  /// resumes. The timer is cancelled once the handler resumes.
+  Result<json::Value> AwaitReply(
+      Duration timeout, std::string timeout_message,
+      std::function<void()> on_timeout,
+      const std::function<Status(const Pending&)>& send);
+
+  /// Run `body` (a module handler) on its own fiber so a blocking call
+  /// inside it parks instead of holding up the simulator loop.
   void RunOnFiber(std::function<void()> body);
 
-  /// Resume any blocked handler whose Await flag the event that just
-  /// executed flipped (registered as a simulator post-event hook).
-  void PumpFiberWaiters();
-
-  /// Shutdown: resume every blocked handler with its wait unsatisfied
+  /// Shutdown: resume every parked handler with its call unsatisfied
   /// so its stack unwinds (Await returns an error) while the
   /// orchestrator's members are still alive.
   void DrainFibers();
@@ -579,14 +600,8 @@ class Orchestrator {
                               const std::string& service) const;
   Status BindServiceGateway(const std::string& device,
                             const std::string& service);
-  uint16_t AllocatePort() { return next_port_++; }
-
-  /// Resolve + (if remote) encode a frame referenced by `payload`;
-  /// returns the message to send and strips/keeps frame_id as needed.
-  Result<net::Message> BuildFrameMessage(ModuleRuntime& caller,
-                                         json::Value payload,
-                                         const std::string& target_device,
-                                         const std::string& type);
+  /// Next auto-assigned port that is free on `device`.
+  uint16_t AllocatePort(const std::string& device);
 
   sim::Cluster* cluster_;
   OrchestratorOptions options_;
@@ -620,16 +635,9 @@ class Orchestrator {
   uint64_t wakes_ = 0;
   uint16_t next_port_ = 20000;
   Rng jitter_rng_;
-  /// Handlers blocked in Await() on a fiber, in suspension order. The
-  /// post-event hook resumes them the moment their flag flips — at the
-  /// flipping event's virtual time, which is what keeps one home's
-  /// timing independent of its co-tenants on a shared simulator.
-  struct FiberWaiter {
-    const bool* flag;
-    sim::Fiber* fiber;
-  };
-  std::vector<FiberWaiter> fiber_waiters_;
-  uint64_t fiber_hook_ = 0;
+  /// Calls that a handler is parked on, in parking order. Only
+  /// DrainFibers reads it: completing events resume their own handler.
+  std::vector<PendingCall*> parked_;
   bool draining_fibers_ = false;
 };
 

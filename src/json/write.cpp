@@ -8,9 +8,14 @@ namespace vp::json {
 namespace {
 
 void WriteNumber(std::string& out, double d) {
+  // JSON has no NaN or Infinity; write null, as JSON.stringify does.
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
   // Integers print without a fractional part; everything else uses
   // shortest-ish %.17g for round-tripping.
-  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
     out += buf;

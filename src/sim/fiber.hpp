@@ -1,25 +1,21 @@
 // Stackful coroutines for blocking-style event handlers.
 //
 // A module handler that issues a blocking service call must wait for a
-// simulator event that has not executed yet. Pumping the simulator
-// from inside the handler makes that wait *re-entrant*: a nested
-// blocked handler pins the C++ stack, so the outer handler's resume
-// point drifts past the virtual time its response actually arrived —
-// and how far it drifts depends on which other pipelines (or, in a
-// fleet, which other homes) happen to be blocked at the same moment.
-// Fibers remove the re-entrancy: a blocked handler suspends back to
-// the simulator loop and is resumed at exactly the event that
-// satisfied its wait, so co-tenants sharing one simulator cannot
-// perturb each other's timing.
+// simulator event that has not executed yet. The handler runs on a
+// fiber: it suspends back to the simulator loop, and the event that
+// completes its wait resumes it directly, as the last thing that event
+// does. The handler therefore resumes at exactly the virtual time its
+// wait was satisfied; co-tenants sharing one simulator cannot perturb
+// each other's timing, because nothing pumps the simulator from inside
+// a handler.
 //
-// Thread affinity: a fiber belongs to whichever simulator shard's
-// post-event hook resumes it, and on the parallel engine that shard
-// may run on a different worker thread each epoch. That is safe
-// because Enter() re-captures the resume point (link_ and the
-// current-fiber TLS) on every entry — nothing in a suspended fiber
-// references the thread it last ran on. The current-fiber pointer and
-// the stack pool are thread-local so concurrent shards never share
-// them.
+// Thread affinity: a fiber belongs to the simulator shard whose event
+// resumes it, and on the parallel engine that shard may run on a
+// different worker thread each epoch. That is safe because Enter()
+// re-captures the resume point (link_ and the current-fiber TLS) on
+// every entry — nothing in a suspended fiber references the thread it
+// last ran on. The current-fiber pointer and the stack pool are
+// thread-local so concurrent shards never share them.
 #pragma once
 
 #include <ucontext.h>

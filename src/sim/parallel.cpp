@@ -129,9 +129,8 @@ void ParallelSimulator::RunBarrierTasksDue() {
     barrier_tasks_.erase(barrier_tasks_.begin() +
                          static_cast<ptrdiff_t>(best));
     task();
-    // The task may have run a legacy deploy pump that drained and
-    // refilled mailboxes arbitrarily; deliver anything new before the
-    // next segment.
+    // A barrier task may post across shards; deliver before the next
+    // segment (or the next due task) can observe the shard heaps.
     DrainMailboxes();
   }
 }
@@ -225,10 +224,10 @@ void ParallelSimulator::RunUntil(TimePoint until) {
     DrainMailboxes();
     RunBarrierTasksDue();
     TimePoint next_event;
-    bool has_event = EarliestShardEvent(&next_event);
-    // A legacy deploy pump may have left a shard clock past the fence;
-    // the earliest *schedulable* work is still never before it.
-    if (has_event && next_event < fence_) next_event = fence_;
+    const bool has_event = EarliestShardEvent(&next_event);
+    // Every shard clock sits at or past the fence between segments, so
+    // no pending event can be due before it.
+    assert(!has_event || next_event >= fence_);
     TimePoint next_barrier;
     const bool has_barrier = NextBarrierTime(&next_barrier);
 
@@ -264,8 +263,8 @@ void ParallelSimulator::RunUntilIdle() {
     DrainMailboxes();
     RunBarrierTasksDue();
     TimePoint next_event;
-    bool has_event = EarliestShardEvent(&next_event);
-    if (has_event && next_event < fence_) next_event = fence_;
+    const bool has_event = EarliestShardEvent(&next_event);
+    assert(!has_event || next_event >= fence_);  // as in RunUntil
     TimePoint next_barrier;
     const bool has_barrier = NextBarrierTime(&next_barrier);
     if (!has_event && !has_barrier) return;
@@ -276,7 +275,6 @@ void ParallelSimulator::RunUntilIdle() {
     } else {
       seg = next_barrier;
     }
-    if (seg < fence_) seg = fence_;
     ExecuteSegment(seg);
     fence_ = seg;
   }

@@ -109,8 +109,8 @@ void SimulatorShard::PopAndRun() {
   Task task = std::move(ev->task);
   ReleaseNode(ev);
   task();
-  // The hook vector is consulted after *every* event but is empty in
-  // all non-fleet runs — skip it outright then.
+  // The hook vector is consulted after *every* event but is empty
+  // unless a tracer or test registered a hook — skip it outright then.
   if (!post_event_hooks_.empty()) {
     for (size_t i = 0; i < post_event_hooks_.size(); ++i) {
       post_event_hooks_[i].second();

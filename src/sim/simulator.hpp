@@ -197,9 +197,7 @@ class Simulator {
   }
 
   /// Register `hook` to run after every executed event, at that
-  /// event's virtual time. Orchestrators use this to resume suspended
-  /// handler fibers at the exact event that satisfied their wait (see
-  /// sim::Fiber) — never earlier, never at some later unwind point.
+  /// event's virtual time (tracers and tests observe events this way).
   /// Hooks are per-shard: on the parallel engine each home's hook runs
   /// on the thread executing that home's shard.
   uint64_t AddPostEventHook(Task hook) {

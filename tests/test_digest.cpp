@@ -53,8 +53,8 @@ std::string Hex(uint64_t v) {
 }
 
 /// Virtual-time fingerprint of one pipeline. Times are relative to the
-/// first captured frame, so a uniform clock shift (the fleet engines
-/// pump deploy-time clocks differently) leaves the digest unchanged.
+/// first captured frame, so a uniform clock shift (a pipeline started
+/// later) leaves the digest unchanged.
 std::string PipeText(const core::PipelineDeployment& d) {
   const core::PipelineMetrics& m = d.metrics();
   std::ostringstream os;
@@ -312,7 +312,8 @@ std::string FleetText(bool parallel) {
     if (!deployment.ok()) return "";
     fleet.home(id).pipelines.push_back(*deployment);
   }
-  // Bring every home's clock to the same fence (see test_sim_parallel).
+  // Let deploy-time work settle before the cameras start (as in
+  // test_sim_parallel).
   fleet.RunFor(Duration::Seconds(2));
   fleet.StartAll();
   fleet.RunFor(Duration::Seconds(5));

@@ -1,6 +1,8 @@
 // Tests for the JSON document model, parser and writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,6 +211,10 @@ TEST(JsonWrite, NumbersPrintCleanly) {
   EXPECT_EQ(Write(Value(42.0)), "42");
   EXPECT_EQ(Write(Value(-3.0)), "-3");
   EXPECT_EQ(Write(Value(1.5)), "1.5");
+  // JSON has no NaN or Infinity: they write as null, as in JS.
+  EXPECT_EQ(Write(Value(std::nan(""))), "null");
+  EXPECT_EQ(Write(Value(std::numeric_limits<double>::infinity())), "null");
+  EXPECT_EQ(Write(Value(-std::numeric_limits<double>::infinity())), "null");
 }
 
 TEST(JsonWrite, EscapesControlCharacters) {

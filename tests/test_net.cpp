@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "json/write.hpp"
 #include "net/broker.hpp"
@@ -40,6 +42,18 @@ TEST(Message, EncodeDecodeRoundTrip) {
   ASSERT_EQ(decoded->parts().size(), 2u);
   EXPECT_EQ(decoded->parts()[0], (Bytes{1, 2, 3, 4, 5}));
   EXPECT_TRUE(decoded->parts()[1].empty());
+}
+
+TEST(Message, NonFinitePayloadNumbersEncodeAndDecode) {
+  json::Value payload = json::Value::MakeObject();
+  payload["score"] = json::Value(std::nan(""));
+  payload["bound"] = json::Value(-std::numeric_limits<double>::infinity());
+  Message m("event", std::move(payload));
+  const Bytes wire = m.Encode();
+  EXPECT_EQ(m.ByteSize(), wire.size());
+  auto decoded = Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  EXPECT_EQ(json::Write(decoded->payload()), R"({"score":null,"bound":null})");
 }
 
 TEST(Message, ByteSizeMatchesEncoding) {

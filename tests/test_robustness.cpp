@@ -594,5 +594,77 @@ TEST(FailedDeploy, LeavesNoEndpointBound) {
   orchestrator.RunFor(Duration::Seconds(1));
 }
 
+TEST(FailedDeploy, InitMayNotBlock) {
+  // init() runs synchronously inside the deploy, outside any handler
+  // fiber, so a blocking host call there fails the placement instead
+  // of running the simulator from inside Deploy.
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::Orchestrator orchestrator(cluster.get());
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "blocking_init",
+    "source": { "fps": 5, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["m"] },
+      { "name": "m", "signal_source": true,
+        "endpoint": "bind#tcp://x:30001",
+        "code": "function init() { busy_ms(5); } function event_received(msg) {}" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  const TimePoint before = cluster->Now();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_FALSE(deployment.ok());
+  EXPECT_NE(deployment.status().message().find(
+                "blocking call outside a module event handler"),
+            std::string::npos)
+      << deployment.status().ToString();
+  EXPECT_EQ(cluster->Now(), before);
+  EXPECT_TRUE(orchestrator.pipelines().empty());
+  for (sim::Device* device : cluster->devices()) {
+    EXPECT_FALSE(orchestrator.fabric().IsBound({device->name(), 30001}))
+        << device->name();
+  }
+}
+
+TEST(Deploy, TakenConfiguredPortFallsBackToAFreePort) {
+  // Two pipelines from one config: the second finds the configured
+  // port taken, and the auto-assigned fallback must skip it too.
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::Orchestrator orchestrator(cluster.get());
+  const std::string config = R"CFG({
+    "name": "twin",
+    "source": { "fps": 5, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["m"] },
+      { "name": "m", "signal_source": true,
+        "endpoint": "bind#tcp://x:20003",
+        "code": "function event_received(msg) {}" }
+    ]
+  })CFG";
+  std::vector<net::Address> module_addresses;
+  for (int i = 0; i < 2; ++i) {
+    auto spec = core::ParsePipelineConfigText(config, core::MapResolver({}));
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    core::Orchestrator::DeployArgs args;
+    args.workload = apps::fitness::Workout();
+    auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+    ASSERT_TRUE(deployment.ok()) << i << ": "
+                                 << deployment.status().ToString();
+    auto address = (*deployment)->ModuleAddress("m");
+    ASSERT_TRUE(address.ok());
+    module_addresses.push_back(*address);
+  }
+  EXPECT_EQ(module_addresses[0].port, 20003);
+  EXPECT_NE(module_addresses[1], module_addresses[0]);
+  orchestrator.StartAll();
+  orchestrator.RunFor(Duration::Seconds(2));
+  for (const auto& pipeline : orchestrator.pipelines()) {
+    EXPECT_GT(pipeline->metrics().frames_completed(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace vp

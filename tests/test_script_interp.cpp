@@ -259,6 +259,16 @@ TEST(VmStdlib, JsonStringifyParse) {
   EXPECT_FALSE(Eval("var result = JSON.parse('{bad');").ok());
 }
 
+TEST(VmStdlib, JsonStringifyWritesNonFiniteNumbersAsNull) {
+  // JSON has no NaN or Infinity: like JS, they stringify as null, so
+  // the text parses back.
+  EXPECT_EQ(Str("var result = JSON.stringify([0/0, 1/0, -1/0]);"),
+            "[null,null,null]");
+  EXPECT_EQ(Str("var result = JSON.stringify(JSON.parse(JSON.stringify("
+                "{ x: 0/0 })));"),
+            R"({"x":null})");
+}
+
 TEST(VmStdlib, ObjectKeysAndArrayIsArray) {
   EXPECT_EQ(Str("var result = Object.keys({x: 1, y: 2}).join(',');"), "x,y");
   EXPECT_TRUE(Boolean("var result = Array.isArray([]);"));

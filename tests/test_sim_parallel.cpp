@@ -102,7 +102,10 @@ std::vector<std::string> RunRing(int shards, int threads) {
   ring->engine = &engine;
   ring->note = note;
   ring->shards = shards;
-  ring->tick = [ring](int shard, int hop) {
+  // The tick holds its ring weakly (the pending events hold it
+  // strongly), so the ring is freed with the engine's queue.
+  ring->tick = [weak = std::weak_ptr<Ring>(ring)](int shard, int hop) {
+    const std::shared_ptr<Ring> ring = weak.lock();
     sim::Simulator& self = ring->engine->shard(shard);
     ring->note(shard, self.Now(), "tick" + std::to_string(hop));
     if (hop >= 12) return;
@@ -148,9 +151,9 @@ TEST(ParallelSimulator, BarrierTasksRunQuiescedAtTheFence) {
   for (int s = 0; s < 4; ++s) {
     auto tick = std::make_shared<std::function<void()>>();
     sim::Simulator& shard = engine.shard(s);
-    *tick = [&shard, tick] {
+    *tick = [&shard, weak = std::weak_ptr(tick)] {
       if (shard.Now() < TimePoint::FromMicros(400'000)) {
-        shard.After(Duration::Millis(1), *tick);
+        shard.After(Duration::Millis(1), [tick = weak.lock()] { (*tick)(); });
       }
     };
     engine.Post(s, TimePoint::FromMicros(1000), [tick] { (*tick)(); });
@@ -182,10 +185,12 @@ TEST(SimulatorPool, SelfReschedulingChainRecyclesNodes) {
   sim::Simulator sim;
   auto tick = std::make_shared<std::function<void()>>();
   int runs = 0;
-  *tick = [&sim, tick, &runs] {
-    if (++runs < 10'000) sim.After(Duration::Micros(10), *tick);
+  *tick = [&sim, weak = std::weak_ptr(tick), &runs] {
+    if (++runs < 10'000) {
+      sim.After(Duration::Micros(10), [tick = weak.lock()] { (*tick)(); });
+    }
   };
-  sim.After(Duration::Micros(10), *tick);
+  sim.After(Duration::Micros(10), [tick] { (*tick)(); });
   sim.RunUntilIdle();
   EXPECT_EQ(runs, 10'000);
   const sim::SimAllocStats stats = sim.alloc_stats();
@@ -257,11 +262,9 @@ void DeployFitness(fleet::Home& home, double fps) {
 }
 
 /// Everything observable about one home, rendered engine-neutrally.
-/// Monitor sample timestamps are normalized to the home's first sample
-/// (deploy-time clock pumping shifts absolute time uniformly per
-/// engine; per-home dynamics must be invariant under that shift —
-/// the same property Fleet.HomeMetricsIndependentOfFleetSize checks
-/// across fleet sizes).
+/// Monitor sample timestamps are normalized to the home's first sample:
+/// the comparison is about per-home dynamics — the same property
+/// Fleet.HomeMetricsIndependentOfFleetSize checks across fleet sizes.
 struct HomeResult {
   uint64_t completed = 0;
   uint64_t captured = 0;
@@ -321,19 +324,19 @@ FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
     DeployFitness(fleet.home(id), 10);
     if (::testing::Test::HasFatalFailure()) return {};
   }
-  // Deploys pump each home's clock (sequential: one shared clock,
-  // serialized; parallel: per-shard clocks, independent). This run
-  // brings every clock to the same fence on the parallel engine so
-  // all homes observe the same active window below on both engines.
+  // Let deploy-time work (container cold starts) settle before the
+  // cameras start, so every home's active window below is warm.
   fleet.RunFor(Duration::Seconds(2));
   if (cloud) {
     for (int id = 0; id < fleet.size(); ++id) {
       auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&fleet, id, tick] {
+      *tick = [&fleet, id, weak = std::weak_ptr(tick)] {
         fleet.CloudSubmit(id, Duration::Millis(30));
-        fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+        fleet.home_simulator(id).After(Duration::Millis(250),
+                                       [tick = weak.lock()] { (*tick)(); });
       };
-      fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+      fleet.home_simulator(id).After(Duration::Millis(250),
+                                     [tick] { (*tick)(); });
     }
   }
   fleet.StartAll();
